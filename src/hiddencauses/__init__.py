@@ -40,7 +40,7 @@ from .harness import (
     structure_error,
 )
 from .hypers import mh_step_rate, sample_alpha, sample_p
-from .ibp import LofHistogram, harmonic_number, lof_histogram, log_prior_Z_ibp, sample_ibp
+from .ibp import harmonic_number, log_prior_Z_ibp, sample_ibp
 from .model import (
     DegenerateModelError,
     ModelParams,
@@ -74,7 +74,6 @@ __all__ = [
     "FiniteState",
     "GeometricK",
     "GroundTruth",
-    "LofHistogram",
     "ModelParams",
     "PosteriorSummary",
     "RejectionError",
@@ -104,7 +103,6 @@ __all__ = [
     "in_degree_error",
     "initial_state",
     "load_observations",
-    "lof_histogram",
     "log_joint",
     "log_likelihood",
     "log_prior_Y",

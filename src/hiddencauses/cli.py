@@ -12,11 +12,8 @@ feasible state).
 """
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -49,33 +46,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class ExperimentConfig:
-    """Merged settings for one fit: config-file values overridden by flags."""
-
-    data: str
-    out: str
-    sampler: str = "gibbs"
-    iterations: int = 500
-    seed: int = 0
-    init: str = "empty"
-    infer_hypers: bool = False
-    mh_step: float = 0.05
-    burn_in: int = 0
-    epsilon: float = 0.01
-    lam: float = 0.9
-    p: float = 0.1
-    alpha: float = 3.0
-    prior_k: str = "poisson"
-    prior_k_mean: float | None = None
-    prior_k_q: float = 0.5
-    k_max: int = 50
-    plain_theta_denominator: bool = False
-    duplicate_row_factor: bool = False
-    timing: bool = False
-
-    def params(self) -> ModelParams:
-        return ModelParams(epsilon=self.epsilon, lam=self.lam, p=self.p, alpha=self.alpha)
+def _params(args) -> ModelParams:
+    return ModelParams(epsilon=args.epsilon, lam=args.lam, p=args.p, alpha=args.alpha)
 
 
 def _add_param_flags(parser, defaults=(0.01, 0.9, 0.1, 3.0)):
@@ -86,7 +58,9 @@ def _add_param_flags(parser, defaults=(0.01, 0.9, 0.1, 3.0)):
     parser.add_argument("--alpha", type=float, default=alpha, help="structure intensity")
 
 
-def build_parser() -> _Parser:
+def build_parser(fit_defaults: dict | None = None) -> _Parser:
+    """The command parser; fit_defaults (from --config) replace the fit
+    subcommand's built-in defaults, so typed flags still win."""
     parser = _Parser(prog="hiddencauses", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -125,6 +99,7 @@ def build_parser() -> _Parser:
     f.add_argument("--timing", action="store_true",
                    help="record per-iteration wall time (breaks byte-identical traces)")
     _add_param_flags(f)
+    f.set_defaults(**(fit_defaults or {}))
 
     e = sub.add_parser("eval", help="score a fit against ground truth")
     e.add_argument("--summary", required=True, help="summary.json from fit")
@@ -138,7 +113,8 @@ def build_parser() -> _Parser:
     r.add_argument("--datasets", type=int, default=10, help="datasets per condition")
     r.add_argument("--iterations", type=int, default=500)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    r.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes (>= 1; at most one per run and per core)")
     r.add_argument("--n", type=int, default=6, help="observations (fig3)")
     r.add_argument("--t", type=int, default=None,
                    help="trials (default 500 for fig3, 150 for fig4)")
@@ -161,7 +137,7 @@ def build_parser() -> _Parser:
 
 def cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
-    params = ModelParams(epsilon=args.epsilon, lam=args.lam, p=args.p, alpha=args.alpha)
+    params = _params(args)
     if args.structure is not None:
         if args.n is not None or args.k_target is not None:
             raise UsageError("--structure excludes --n/--k-target")
@@ -187,78 +163,69 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path) -> dict:
+def _load_config(path, known) -> dict:
+    """Fit settings from a JSON object, keyed by flag dest (dashed names
+    and "lambda" accepted); `known` lists the dests a config may set."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    return cfg
+    settings = {}
+    for key, value in cfg.items():
+        key = key.replace("-", "_")
+        if key == "lambda":
+            key = "lam"
+        if key in ("data", "out"):
+            raise ValueError(f"{path}: {key} must be given as a flag")
+        if key not in known:
+            raise ValueError(f"{path}: unknown setting {key!r}")
+        settings[key] = value
+    return settings
 
 
-def cmd_fit(args, argv) -> int:
-    cfg_fields = set(ExperimentConfig.__dataclass_fields__)
-    overrides = {}
-    if args.config:
-        for key, value in _load_config(args.config).items():
-            key = key.replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            if key not in cfg_fields:
-                raise ValueError(f"{args.config}: unknown setting {key!r}")
-            if key in ("data", "out"):
-                raise ValueError(f"{args.config}: {key} must be given as a flag")
-            overrides[key] = value
-    # explicit flags beat config-file values
-    explicit = _explicit_dests(argv)
-    for name in cfg_fields:
-        if name in ("data", "out"):
-            continue
-        if name in explicit or name not in overrides:
-            overrides[name] = getattr(args, name)
-    config = ExperimentConfig(data=args.data, out=args.out, **overrides)
-
-    X = dataio.load_observations(config.data)
-    params = config.params()
+def cmd_fit(args) -> int:
+    X = dataio.load_observations(args.data)
+    params = _params(args)
     k_prior = None
-    if config.sampler == "rjmcmc":
-        if config.prior_k == "poisson":
-            mean = config.prior_k_mean
+    if args.sampler == "rjmcmc":
+        if args.prior_k == "poisson":
+            mean = args.prior_k_mean
             k_prior = (
                 make_k_prior("poisson", mean=mean)
                 if mean is not None
                 else default_k_prior(params.alpha, X.shape[0])
             )
         else:
-            k_prior = make_k_prior(config.prior_k, q=config.prior_k_q, k_max=config.k_max)
+            k_prior = make_k_prior(args.prior_k, q=args.prior_k_q, k_max=args.k_max)
 
     result = run_chain(
         X,
-        sampler=config.sampler,
-        iterations=config.iterations,
+        sampler=args.sampler,
+        iterations=args.iterations,
         params=params,
-        seed=config.seed,
-        init=config.init,
-        infer_hypers=config.infer_hypers,
-        mh_step=config.mh_step,
+        seed=args.seed,
+        init=args.init,
+        infer_hypers=args.infer_hypers,
+        mh_step=args.mh_step,
         k_prior=k_prior,
-        predictive=not config.plain_theta_denominator,
-        duplicate_row_factor=config.duplicate_row_factor,
-        burn_in=config.burn_in,
-        timing=config.timing,
+        predictive=not args.plain_theta_denominator,
+        duplicate_row_factor=args.duplicate_row_factor,
+        burn_in=args.burn_in,
+        timing=args.timing,
     )
 
-    out = dataio.ensure_dir(config.out)
+    out = dataio.ensure_dir(args.out)
     dataio.write_trace(
         out / "trace.jsonl",
-        [rec.to_dict(include_timing=config.timing) for rec in result.trace],
+        [rec.to_dict(include_timing=args.timing) for rec in result.trace],
     )
     summary = result.summary
     final = result.state
     payload = {
-        "sampler": config.sampler,
-        "seed": config.seed,
-        "iterations": config.iterations,
-        "burn_in": config.burn_in,
+        "sampler": args.sampler,
+        "seed": args.seed,
+        "iterations": args.iterations,
+        "burn_in": args.burn_in,
         "sample_count": summary.sample_count,
         "mean_kplus": summary.mean_kplus,
         "mean_k": summary.mean_k,
@@ -275,7 +242,8 @@ def cmd_fit(args, argv) -> int:
         },
         "mh_acceptance": result.mh_acceptance,
         "elapsed_ms": result.elapsed_ms,
-        "config": {name: getattr(config, name) for name in sorted(cfg_fields)},
+        "config": {name: value for name, value in sorted(vars(args).items())
+                   if name not in ("command", "config")},
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -286,19 +254,6 @@ def cmd_fit(args, argv) -> int:
     print(f"fit complete: E[K+] = {summary.mean_kplus:.3f} over "
           f"{summary.sample_count} retained iterations; outputs in {out}")
     return EXIT_OK
-
-
-def _explicit_dests(argv) -> set[str]:
-    """Dest names of options the user actually typed (for config precedence)."""
-    explicit = set()
-    for token in argv:
-        if not token.startswith("--"):
-            continue
-        name = token[2:].split("=", 1)[0].replace("-", "_")
-        if name == "lambda":
-            name = "lam"
-        explicit.add(name)
-    return explicit
 
 
 def cmd_eval(args) -> int:
@@ -331,76 +286,39 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise UsageError(f"bad {what}: {text!r}") from None
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def cmd_replicate(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     out = dataio.ensure_dir(args.out)
-    params = ModelParams(epsilon=args.epsilon, lam=args.lam, p=args.p, alpha=args.alpha)
-    samplers = tuple(s.strip() for s in args.samplers.split(",") if s.strip())
-    failures = []
+    common = dict(master_seed=args.seed, samplers=_names(args.samplers),
+                  datasets_per_condition=args.datasets, iterations=args.iterations,
+                  params=_params(args), jobs=args.jobs)
     if args.figure == "fig3":
-        inits = tuple(s.strip() for s in (args.inits or "empty,random10").split(",") if s.strip())
+        run_type = experiments.DimensionRun
         runs = experiments.dimension_recovery_experiment(
-            master_seed=args.seed,
             k_values=_parse_int_list(args.k_range, "--k-range"),
-            samplers=samplers,
-            inits=inits,
-            datasets_per_condition=args.datasets,
+            inits=_names(args.inits or "empty,random10"),
             n_rows=args.n,
             n_trials=args.t if args.t is not None else 500,
-            iterations=args.iterations,
-            params=params,
-            jobs=args.jobs,
+            **common,
         )
-        failures = [r for r in runs if r.error]
-        table = out / "fig3_results.csv"
-        with open(table, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k_true", "sampler", "init", "runs",
-                             "mean_dimension", "sd_dimension", "mean_kplus", "sd_kplus"])
-            conditions = sorted({(r.k_true, r.sampler, r.init) for r in runs})
-            for k_true, sampler, init in conditions:
-                ok = [r for r in runs
-                      if (r.k_true, r.sampler, r.init) == (k_true, sampler, init) and not r.error]
-                mean_d, sd_d = experiments.aggregate(r.mean_dimension for r in ok)
-                mean_kp, sd_kp = experiments.aggregate(r.mean_kplus for r in ok)
-                writer.writerow([k_true, sampler, init, len(ok),
-                                 f"{mean_d:.4f}", f"{sd_d:.4f}", f"{mean_kp:.4f}", f"{sd_kp:.4f}"])
-        print(f"wrote {table}")
     else:
-        inits = tuple(s.strip() for s in (args.inits or "empty").split(",") if s.strip())
-        structures = tuple(s.strip() for s in args.structures.split(",") if s.strip())
+        run_type = experiments.StructureRun
         runs = experiments.structure_recovery_experiment(
-            master_seed=args.seed,
-            structures=structures,
-            samplers=samplers,
-            inits=inits,
-            datasets_per_condition=args.datasets,
+            structures=_names(args.structures),
+            inits=_names(args.inits or "empty"),
             n_trials=args.t if args.t is not None else 150,
-            iterations=args.iterations,
             checkpoints=_parse_int_list(args.checkpoints, "--checkpoints"),
-            params=params,
-            jobs=args.jobs,
+            **common,
         )
-        failures = [r for r in runs if r.error]
-        table = out / "fig4_results.csv"
-        with open(table, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["structure", "sampler", "init", "iteration", "runs",
-                             "mean_in_degree_error", "sd_in_degree_error",
-                             "mean_structure_error", "sd_structure_error"])
-            conditions = sorted({(r.structure, r.sampler, r.init) for r in runs})
-            for structure, sampler, init in conditions:
-                ok = [r for r in runs
-                      if (r.structure, r.sampler, r.init) == (structure, sampler, init)
-                      and not r.error]
-                if not ok:
-                    continue
-                for ci, checkpoint in enumerate(ok[0].checkpoints):
-                    mean_i, sd_i = experiments.aggregate(r.in_degree_errors[ci] for r in ok)
-                    mean_s, sd_s = experiments.aggregate(r.structure_errors[ci] for r in ok)
-                    writer.writerow([structure, sampler, init, checkpoint, len(ok),
-                                     f"{mean_i:.4f}", f"{sd_i:.4f}",
-                                     f"{mean_s:.4f}", f"{sd_s:.4f}"])
-        print(f"wrote {table}")
+    table = out / f"{args.figure}_results.csv"
+    run_type.write_table(table, runs)
+    print(f"wrote {table}")
+    failures = [r for r in runs if r.error]
     for run in failures:
         print(f"run failed: {run}", file=sys.stderr)
     if failures and len(failures) == len(runs):
@@ -410,13 +328,15 @@ def cmd_replicate(args) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "fit":
-            return cmd_fit(args, argv)
+            if args.config:
+                known = set(vars(args)) - {"command", "config"}
+                args = build_parser(_load_config(args.config, known)).parse_args(argv)
+            return cmd_fit(args)
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_replicate(args)

@@ -11,13 +11,19 @@ structure recovery   fix one of the canonical graphs, fit, and track
                      in-degree and pairwise structure errors of the
                      running posterior mean of Z Z^T at checkpoints.
 
+Both run one pipeline: specs -> one worker -> one table writer.  The run
+record types supply what differs: the dataset, the score and the table rows.
+
 Datasets are derived only from (master seed, condition, dataset index),
 never from sampler or init, so every sampler/init pair sees identical
 data within a condition.
 """
 
+import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,20 +60,87 @@ def _chain_rng(master_seed: int, condition: int, index: int, sampler: str, init:
     )
 
 
+@dataclass(frozen=True)
+class _Study:
+    """Settings shared by every run of one study."""
+
+    seed: int
+    iterations: int
+    params: ModelParams
+    n_trials: int
+    n_rows: int = 0  # dimension recovery only
+    max_tries: int = 0  # dimension recovery only
+
+
+class _Run:
+    """Shared by the run records, which supply the seed code `condition`,
+    the chain's `checkpoints`, `dataset`, `score`, `HEADER` and `rows`."""
+
+    @classmethod
+    def write_table(cls, path, runs) -> None:
+        """Write HEADER, then the rows of each group of runs (named by the
+        first three columns) in sorted order, over its runs that succeeded."""
+        groups: dict[tuple, list] = {}
+        for run in runs:
+            group = groups.setdefault(tuple(getattr(run, c) for c in cls.HEADER[:3]), [])
+            if not run.error:
+                group.append(run)
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(cls.HEADER)
+            for group in sorted(groups):
+                writer.writerows(cls.rows(group, groups[group]))
+
+
+def _mean_sd(values) -> list[str]:
+    """Mean and sample standard deviation (ddof 1; 0 for a single value;
+    nan for none) as table cells."""
+    arr = np.asarray(list(values), dtype=np.float64)
+    if arr.size == 0:
+        return ["nan", "nan"]
+    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return [f"{float(arr.mean()):.4f}", f"{sd:.4f}"]
+
+
 # ---------------------------------------------------------------------------
 # dimension recovery
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class DimensionRun:
+class DimensionRun(_Run):
     k_true: int
     dataset_index: int
     sampler: str
     init: str
-    mean_dimension: float  # E[K+] for gibbs, E[K] for rjmcmc
-    mean_kplus: float
+    mean_dimension: float = float("nan")  # E[K+] for gibbs, E[K] for rjmcmc
+    mean_kplus: float = float("nan")
     error: str | None = None
+
+    HEADER: ClassVar = ["k_true", "sampler", "init", "runs",
+                        "mean_dimension", "sd_dimension", "mean_kplus", "sd_kplus"]
+    checkpoints: ClassVar = ()
+
+    @property
+    def condition(self) -> int:
+        return self.k_true
+
+    def dataset(self, study: _Study) -> Dataset:
+        return make_dimension_dataset(
+            study.seed, self.k_true, self.dataset_index, study.n_rows, study.n_trials,
+            study.params, study.max_tries,
+        )
+
+    def score(self, result, data: Dataset) -> None:
+        summary = result.summary
+        self.mean_dimension = summary.mean_kplus if self.sampler == "gibbs" else summary.mean_k
+        self.mean_kplus = summary.mean_kplus
+
+    @staticmethod
+    def rows(group: tuple, ok: list) -> list[list]:
+        """One row per group; a group whose runs all failed reads runs = 0, nan."""
+        return [[*group, len(ok), *_mean_sd(r.mean_dimension for r in ok),
+                 *_mean_sd(r.mean_kplus for r in ok)]]
 
 
 def make_dimension_dataset(
@@ -84,45 +157,6 @@ def make_dimension_dataset(
     return generate_dataset(Z, n_trials, params, rng)
 
 
-def _dimension_worker(spec: dict) -> DimensionRun:
-    params = ModelParams(**spec["params"])
-    try:
-        data = make_dimension_dataset(
-            spec["seed"], spec["k_true"], spec["index"], spec["n_rows"],
-            spec["n_trials"], params, spec["max_tries"],
-        )
-        rng = _chain_rng(spec["seed"], spec["k_true"], spec["index"], spec["sampler"], spec["init"])
-        result = run_chain(
-            data.X,
-            sampler=spec["sampler"],
-            iterations=spec["iterations"],
-            params=params,
-            rng=rng,
-            init=spec["init"],
-        )
-        mean_dim = (
-            result.summary.mean_kplus if spec["sampler"] == "gibbs" else result.summary.mean_k
-        )
-        return DimensionRun(
-            k_true=spec["k_true"],
-            dataset_index=spec["index"],
-            sampler=spec["sampler"],
-            init=spec["init"],
-            mean_dimension=mean_dim,
-            mean_kplus=result.summary.mean_kplus,
-        )
-    except Exception as exc:  # reported per run, batch continues
-        return DimensionRun(
-            k_true=spec["k_true"],
-            dataset_index=spec["index"],
-            sampler=spec["sampler"],
-            init=spec["init"],
-            mean_dimension=float("nan"),
-            mean_kplus=float("nan"),
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
 def dimension_recovery_experiment(
     *,
     master_seed: int = 0,
@@ -137,30 +171,11 @@ def dimension_recovery_experiment(
     max_tries: int = 100_000,
     jobs: int = 1,
 ) -> list[DimensionRun]:
-    specs = [
-        {
-            "seed": master_seed,
-            "k_true": k_true,
-            "index": idx,
-            "sampler": sampler,
-            "init": init,
-            "n_rows": n_rows,
-            "n_trials": n_trials,
-            "iterations": iterations,
-            "params": {
-                "epsilon": params.epsilon,
-                "lam": params.lam,
-                "p": params.p,
-                "alpha": params.alpha,
-            },
-            "max_tries": max_tries,
-        }
-        for k_true in k_values
-        for idx in range(datasets_per_condition)
-        for sampler in samplers
-        for init in inits
-    ]
-    return _run_specs(_dimension_worker, specs, jobs)
+    study = _Study(master_seed, iterations, params, n_trials, n_rows, max_tries)
+    specs = [(DimensionRun(k_true, index, sampler, init), study)
+             for k_true in k_values for index in range(datasets_per_condition)
+             for sampler in samplers for init in inits]
+    return _run_specs(specs, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -168,74 +183,51 @@ def dimension_recovery_experiment(
 # ---------------------------------------------------------------------------
 
 
+_STRUCTURE_CONDITION = {"degree1": 101, "disconnected": 102, "undercomplete": 103, "overcomplete": 104}
+
+
 @dataclass
-class StructureRun:
+class StructureRun(_Run):
     structure: str
     dataset_index: int
     sampler: str
     init: str
     checkpoints: list[int]
-    in_degree_errors: list[float]
-    structure_errors: list[float]
+    in_degree_errors: list[float] = field(default_factory=list)
+    structure_errors: list[float] = field(default_factory=list)
     error: str | None = None
 
+    HEADER: ClassVar = ["structure", "sampler", "init", "iteration", "runs",
+                        "mean_in_degree_error", "sd_in_degree_error",
+                        "mean_structure_error", "sd_structure_error"]
 
-_STRUCTURE_CONDITION = {"degree1": 101, "disconnected": 102, "undercomplete": 103, "overcomplete": 104}
+    @property
+    def condition(self) -> int:
+        return _STRUCTURE_CONDITION[self.structure]
 
+    def dataset(self, study: _Study) -> Dataset:
+        rng = _dataset_rng(study.seed, self.condition, self.dataset_index)
+        return generate_dataset(canonical_structure(self.structure), study.n_trials,
+                                study.params, rng)
 
-def make_structure_dataset(
-    master_seed: int, structure: str, index: int, n_trials: int, params: ModelParams
-) -> Dataset:
-    rng = _dataset_rng(master_seed, _STRUCTURE_CONDITION[structure], index)
-    return generate_dataset(canonical_structure(structure), n_trials, params, rng)
-
-
-def _structure_worker(spec: dict) -> StructureRun:
-    params = ModelParams(**spec["params"])
-    checkpoints = [c for c in spec["checkpoints"] if c <= spec["iterations"]]
-    try:
-        data = make_structure_dataset(
-            spec["seed"], spec["structure"], spec["index"], spec["n_trials"], params
-        )
-        rng = _chain_rng(
-            spec["seed"],
-            _STRUCTURE_CONDITION[spec["structure"]],
-            spec["index"],
-            spec["sampler"],
-            spec["init"],
-        )
-        result = run_chain(
-            data.X,
-            sampler=spec["sampler"],
-            iterations=spec["iterations"],
-            params=params,
-            rng=rng,
-            init=spec["init"],
-            snapshot_iterations=checkpoints,
-        )
+    def score(self, result, data: Dataset) -> None:
+        snaps = [result.snapshots[c] for c in self.checkpoints]
         Z_true = data.truth.Z
-        ind = [in_degree_error(result.snapshots[c], Z_true) for c in checkpoints]
-        struct = [structure_error(result.snapshots[c], Z_true) for c in checkpoints]
-        return StructureRun(
-            structure=spec["structure"],
-            dataset_index=spec["index"],
-            sampler=spec["sampler"],
-            init=spec["init"],
-            checkpoints=checkpoints,
-            in_degree_errors=ind,
-            structure_errors=struct,
+        self.in_degree_errors, self.structure_errors = (
+            [in_degree_error(s, Z_true) for s in snaps],
+            [structure_error(s, Z_true) for s in snaps],
         )
-    except Exception as exc:
-        return StructureRun(
-            structure=spec["structure"],
-            dataset_index=spec["index"],
-            sampler=spec["sampler"],
-            init=spec["init"],
-            checkpoints=checkpoints,
-            in_degree_errors=[],
-            structure_errors=[],
-            error=f"{type(exc).__name__}: {exc}",
-        )
+
+    @staticmethod
+    def rows(group: tuple, ok: list) -> list[list]:
+        """One row per checkpoint; a group whose runs all failed has none."""
+        if not ok:
+            return []
+        return [
+            [*group, checkpoint, len(ok), *_mean_sd(r.in_degree_errors[ci] for r in ok),
+             *_mean_sd(r.structure_errors[ci] for r in ok)]
+            for ci, checkpoint in enumerate(ok[0].checkpoints)
+        ]
 
 
 def structure_recovery_experiment(
@@ -251,42 +243,51 @@ def structure_recovery_experiment(
     params: ModelParams = DEFAULT_PARAMS,
     jobs: int = 1,
 ) -> list[StructureRun]:
-    specs = [
-        {
-            "seed": master_seed,
-            "structure": structure,
-            "index": idx,
-            "sampler": sampler,
-            "init": init,
-            "n_trials": n_trials,
-            "iterations": iterations,
-            "checkpoints": list(checkpoints),
-            "params": {
-                "epsilon": params.epsilon,
-                "lam": params.lam,
-                "p": params.p,
-                "alpha": params.alpha,
-            },
-        }
-        for structure in structures
-        for idx in range(datasets_per_condition)
-        for sampler in samplers
-        for init in inits
-    ]
-    return _run_specs(_structure_worker, specs, jobs)
+    kept = [c for c in checkpoints if c <= iterations]
+    study = _Study(master_seed, iterations, params, n_trials)
+    specs = [(StructureRun(structure, index, sampler, init, list(kept)), study)
+             for structure in structures for index in range(datasets_per_condition)
+             for sampler in samplers for init in inits]
+    return _run_specs(specs, jobs)
 
 
-def _run_specs(worker, specs: list[dict], jobs: int) -> list:
-    if jobs <= 1 or len(specs) <= 1:
-        return [worker(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, specs))
+# ---------------------------------------------------------------------------
+# shared pipeline
+# ---------------------------------------------------------------------------
 
 
-def aggregate(values) -> tuple[float, float]:
-    """Mean and sample standard deviation (ddof 1; 0.0 for a single value)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return float("nan"), float("nan")
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), sd
+def _run_specs(specs: list[tuple], jobs: int) -> list:
+    """Run each (run record, study) spec, in order; results keep that order."""
+    workers = worker_count(jobs, len(specs))
+    if workers == 1:
+        return [_run_one(spec) for spec in specs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_one, specs))
+
+
+def worker_count(jobs: int, n_specs: int) -> int:
+    """Processes a study uses: no more than asked for, than it has runs, or
+    than the machine has cores, and at least one."""
+    return max(1, min(jobs, n_specs, os.cpu_count() or 1))
+
+
+def _run_one(spec: tuple) -> _Run:
+    """Fit one chain and score it; any error is recorded on the run, so the
+    rest of the study goes on."""
+    run, study = spec
+    try:
+        data = run.dataset(study)
+        rng = _chain_rng(study.seed, run.condition, run.dataset_index, run.sampler, run.init)
+        result = run_chain(
+            data.X,
+            sampler=run.sampler,
+            iterations=study.iterations,
+            params=study.params,
+            rng=rng,
+            init=run.init,
+            snapshot_iterations=run.checkpoints,
+        )
+        run.score(result, data)
+    except Exception as exc:  # reported per run, the study continues
+        run.error = f"{type(exc).__name__}: {exc}"
+    return run

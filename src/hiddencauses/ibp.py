@@ -1,13 +1,12 @@
 """Indian buffet process: the K -> infinity limit of the finite Z prior.
 
-Provides forward sampling (the sequential buffet scheme), the histogram
-of column patterns that defines left-ordered-form equivalence classes,
-and the exchangeable class probability used as the prior over bipartite
-graphs with an unbounded number of causes.
+Provides forward sampling (the sequential buffet scheme) and the
+probability of a left-ordered-form equivalence class, used as the prior
+over bipartite graphs with an unbounded number of causes.
 """
 
 import math
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 from scipy.special import gammaln
@@ -70,34 +69,6 @@ def sample_ibp(n_rows: int, alpha: float, rng: np.random.Generator) -> np.ndarra
     return Z
 
 
-@dataclass(frozen=True)
-class LofHistogram:
-    """Column-pattern histogram underlying left-ordered-form classes.
-
-    counts maps a column's binary pattern (row 0 = most significant bit)
-    to its multiplicity K_h; total_columns is the sum of multiplicities.
-    """
-
-    counts: dict[int, int]
-    total_columns: int
-
-
-def lof_histogram(Z) -> LofHistogram:
-    """Histogram of column patterns of Z. Rejects all-zero columns."""
-    Z = np.asarray(Z)
-    if Z.ndim != 2:
-        raise ValueError("Z must be 2-D")
-    n = Z.shape[0]
-    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    patterns = weights @ Z.astype(np.int64)
-    if Z.shape[1] and (patterns == 0).any():
-        raise ValueError("Z has an all-zero column")
-    counts: dict[int, int] = {}
-    for pat in patterns.tolist():
-        counts[pat] = counts.get(pat, 0) + 1
-    return LofHistogram(counts=counts, total_columns=int(Z.shape[1]))
-
-
 def log_prior_Z_ibp(Z, alpha: float) -> float:
     """Log-probability of Z's left-ordered-form equivalence class:
 
@@ -120,7 +91,8 @@ def log_prior_Z_ibp(Z, alpha: float) -> float:
     m = Z.sum(axis=0, dtype=np.int64)
     if (m == 0).any():
         raise ValueError("Z has an all-zero column")
-    hist = lof_histogram(Z)
-    log_multiplicity = sum(gammaln(kh + 1.0) for kh in hist.counts.values())
+    # K_h: multiplicity of each distinct column pattern, compared exactly
+    patterns = Counter(map(bytes, np.ascontiguousarray(Z.T)))
+    log_multiplicity = sum(gammaln(kh + 1.0) for kh in patterns.values())
     per_col = gammaln(n - m + 1.0) + gammaln(m.astype(np.float64)) - gammaln(n + 1.0)
     return float(kplus * math.log(alpha) - log_multiplicity - alpha * hn + per_col.sum())

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from hiddencauses import harmonic_number, lof_histogram, log_prior_Z_ibp, sample_ibp
-from hiddencauses.ibp import LofHistogram
+from hiddencauses import harmonic_number, log_prior_Z_ibp, sample_ibp
 
 
 class TestHarmonicNumber:
@@ -49,23 +49,6 @@ class TestSampleIbp:
         assert abs(np.mean(draws) - target) < 0.15
 
 
-class TestLofHistogram:
-    def test_counts_column_patterns(self):
-        """Row 0 is the most significant bit of a column's pattern code."""
-        Z = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int8)
-        hist = lof_histogram(Z)
-        assert hist == LofHistogram(counts={2: 2, 1: 1}, total_columns=3)
-
-    def test_empty_matrix(self):
-        hist = lof_histogram(np.zeros((3, 0), dtype=np.int8))
-        assert hist.counts == {}
-        assert hist.total_columns == 0
-
-    def test_rejects_all_zero_columns(self):
-        with pytest.raises(ValueError):
-            lof_histogram(np.array([[0], [0]], dtype=np.int8))
-
-
 class TestLogPriorZIbp:
     def test_empty_matrix_value(self):
         """P(no causes) = exp(-alpha H_N)."""
@@ -105,6 +88,20 @@ class TestLogPriorZIbp:
             np.exp(log_prior_Z_ibp(distinct, alpha)),
             rtol=1e-12,
         )
+
+    def test_column_patterns_compared_exactly_past_64_rows(self):
+        """At N = 66, columns {0, 2} and {2} are distinct patterns (K_h = 1
+        each); packing rows into an int64 mapped both to -2^63."""
+        alpha, n = 1.5, 66
+        Z = np.zeros((n, 2), dtype=np.int8)
+        Z[[0, 2], 0] = 1
+        Z[2, 1] = 1
+        m = Z.sum(axis=0)
+        expected = (
+            2 * math.log(alpha) - alpha * harmonic_number(n)
+            + np.sum(gammaln(n - m + 1.0) + gammaln(m) - gammaln(n + 1.0))
+        )
+        np.testing.assert_allclose(log_prior_Z_ibp(Z, alpha), expected, rtol=1e-12)
 
     def test_rejects_all_zero_column(self):
         with pytest.raises(ValueError):

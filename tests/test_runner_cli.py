@@ -17,10 +17,18 @@ from hiddencauses import (
     run_chain,
     write_dataset_bundle,
 )
+from hiddencauses import experiments
 from hiddencauses.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
 
 PARAMS = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=1.0)
 X_SMALL = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8)
+# Small studies with two conditions, two datasets and both samplers: eight runs each.
+STUDIES = [
+    ("fig3", ["--datasets", "2", "--iterations", "4", "--k-range", "1,2", "--n", "4",
+              "--t", "20", "--inits", "empty", "--seed", "3"]),
+    ("fig4", ["--datasets", "2", "--iterations", "4", "--structures", "degree1,disconnected",
+              "--checkpoints", "1,4", "--t", "20", "--seed", "3"]),
+]
 
 
 class TestInitialState:
@@ -108,6 +116,14 @@ class TestRunChain:
         assert set(result.snapshots) == {2, 5, 10}
         assert result.snapshots[2].sample_count == 2
         assert result.snapshots[10].sample_count == 10
+
+    def test_gibbs_completes_past_64_rows(self):
+        """The trace's prior term once packed each column into an int64 and
+        failed within a few sweeps at N >= 64."""
+        X = (np.random.default_rng(4).random((70, 50)) < 0.3).astype(np.int8)
+        result = run_chain(X, sampler="gibbs", iterations=10, params=PARAMS, seed=0)
+        assert len(result.trace) == 11
+        assert all(np.isfinite(rec.log_joint) for rec in result.trace)
 
     def test_infer_hypers_moves_params_and_reports_acceptance(self):
         result = run_chain(
@@ -253,16 +269,19 @@ class TestCliFit:
         bundle = _generate(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"iterations": 7, "lambda": 0.7, "seed": 9}')
-        out = tmp_path / "fit"
-        code = main(
-            ["fit", "--data", str(bundle), "--out", str(out), "--config", str(cfg),
-             "--iterations", "3"]
-        )
-        assert code == EXIT_OK
-        merged = json.loads((out / "summary.json").read_text())["config"]
-        assert merged["iterations"] == 3  # explicit flag beats config
-        assert merged["lam"] == 0.7  # config beats default
-        assert merged["seed"] == 9
+        # explicit flags beat config, also when abbreviated or joined by "="
+        cases = [(["--iterations", "3"], 3), (["--iter", "3"], 3), (["--iterations=3"], 3),
+                 ([], 7)]
+        for case, (flags, iterations) in enumerate(cases):
+            out = tmp_path / f"fit{case}"
+            code = main(
+                ["fit", "--data", str(bundle), "--out", str(out), "--config", str(cfg), *flags]
+            )
+            assert code == EXIT_OK
+            merged = json.loads((out / "summary.json").read_text())["config"]
+            assert merged["iterations"] == iterations, flags
+            assert merged["lam"] == 0.7  # config beats default
+            assert merged["seed"] == 9
 
     def test_config_unknown_key_is_data_error(self, tmp_path):
         bundle = _generate(tmp_path)
@@ -347,6 +366,67 @@ class TestCliReplicate:
             ["replicate", "fig3", "--out", str(tmp_path / "s"), "--k-range", "1,two"]
         )
         assert code == EXIT_USAGE
+
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys):
+        for jobs in ("0", "-2"):
+            assert main(["replicate", "fig3", "--out", str(tmp_path / "s"), "--jobs", jobs]) \
+                == EXIT_USAGE
+            assert "--jobs" in capsys.readouterr().err
+
+    def test_worker_count_clamped_by_runs_and_cores(self, monkeypatch):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        assert experiments.worker_count(1, 100) == 1
+        assert experiments.worker_count(3, 100) == 3
+        assert experiments.worker_count(10_000, 100) == 4
+        assert experiments.worker_count(10_000, 2) == 2
+        assert experiments.worker_count(8, 0) == 1
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        assert experiments.worker_count(8, 100) == 1
+
+    @pytest.mark.parametrize("figure,extra", STUDIES)
+    def test_tables_identical_across_jobs(self, tmp_path, figure, extra):
+        tables = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["replicate", figure, "--out", str(out), "--jobs", jobs, *extra]) \
+                == EXIT_OK
+            tables.append((out / f"{figure}_results.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("figure,extra", STUDIES)
+    def test_failed_runs_reported(self, tmp_path, monkeypatch, capsys, figure, extra):
+        run_chain = experiments.run_chain
+        broken = set()
+
+        def flaky_chain(X, **kwargs):
+            if kwargs["sampler"] in broken:
+                raise RuntimeError("injected")
+            return run_chain(X, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_chain", flaky_chain)
+        table = tmp_path / f"{figure}_results.csv"
+        argv = ["replicate", figure, "--out", str(tmp_path), *extra]
+        assert main(argv) == EXIT_OK
+        healthy = table.read_text().splitlines()
+        capsys.readouterr()
+
+        broken.add("rjmcmc")  # some runs fail: exit 0, failures on stderr
+        assert main(argv) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        rows = table.read_text().splitlines()
+        assert len(err) == 4 and all(line.startswith("run failed: ") for line in err)
+        assert all("sampler='rjmcmc'" in line and "RuntimeError: injected" in line
+                   for line in err)
+        assert [r for r in rows if ",gibbs," in r] == [r for r in healthy if ",gibbs," in r]
+        failed = [r for r in rows if ",rjmcmc," in r]
+        if figure == "fig3":  # one runs = 0 row per condition
+            assert failed == [f"{k},rjmcmc,empty,0,nan,nan,nan,nan" for k in (1, 2)]
+        else:  # no rows for a condition with no finished run
+            assert failed == []
+
+        broken.add("gibbs")  # every run fails: exit 2
+        assert main(argv) == EXIT_DATA
+        assert len(capsys.readouterr().err.splitlines()) == 8
 
 
 class TestCliParser:
