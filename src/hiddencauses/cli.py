@@ -29,7 +29,7 @@ from .harness import (
 )
 from .model import DegenerateModelError, ModelParams
 from .rjmcmc import make_k_prior
-from .runner import default_k_prior, run_chain
+from .runner import INITS, SAMPLERS, default_k_prior, run_chain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,10 +78,10 @@ def build_parser(fit_defaults: dict | None = None) -> _Parser:
     f.add_argument("--data", required=True, help="X.csv or bundle directory")
     f.add_argument("--out", required=True, help="output directory")
     f.add_argument("--config", help="JSON file of flag defaults")
-    f.add_argument("--sampler", choices=("gibbs", "rjmcmc"), default="gibbs")
+    f.add_argument("--sampler", choices=SAMPLERS, default="gibbs")
     f.add_argument("--iterations", type=int, default=500)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--init", choices=("empty", "random10"), default="empty")
+    f.add_argument("--init", choices=INITS, default="empty")
     f.add_argument("--infer-hypers", action="store_true",
                    help="resample lambda, epsilon, p (and alpha under gibbs) each sweep")
     f.add_argument("--mh-step", type=float, default=0.05, help="random-walk half-width")
@@ -241,7 +241,7 @@ def cmd_fit(args) -> int:
             },
         },
         "mh_acceptance": result.mh_acceptance,
-        "elapsed_ms": result.elapsed_ms,
+        **({"elapsed_ms": result.elapsed_ms} if args.timing else {}),
         "config": {name: value for name, value in sorted(vars(args).items())
                    if name not in ("command", "config")},
     }
@@ -286,22 +286,27 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise UsageError(f"bad {what}: {text!r}") from None
 
 
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+def _names(text: str, flag: str, allowed) -> tuple[str, ...]:
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    unknown = sorted(set(names) - set(allowed))
+    if unknown:
+        raise UsageError(f"{flag}: unknown {', '.join(unknown)} "
+                         f"(choose from {', '.join(sorted(allowed))})")
+    return names
 
 
 def cmd_replicate(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     out = dataio.ensure_dir(args.out)
-    common = dict(master_seed=args.seed, samplers=_names(args.samplers),
+    common = dict(master_seed=args.seed, samplers=_names(args.samplers, "--samplers", SAMPLERS),
                   datasets_per_condition=args.datasets, iterations=args.iterations,
                   params=_params(args), jobs=args.jobs)
     if args.figure == "fig3":
         run_type = experiments.DimensionRun
         runs = experiments.dimension_recovery_experiment(
             k_values=_parse_int_list(args.k_range, "--k-range"),
-            inits=_names(args.inits or "empty,random10"),
+            inits=_names(args.inits or "empty,random10", "--inits", INITS),
             n_rows=args.n,
             n_trials=args.t if args.t is not None else 500,
             **common,
@@ -309,8 +314,8 @@ def cmd_replicate(args) -> int:
     else:
         run_type = experiments.StructureRun
         runs = experiments.structure_recovery_experiment(
-            structures=_names(args.structures),
-            inits=_names(args.inits or "empty"),
+            structures=_names(args.structures, "--structures", CANONICAL_STRUCTURES),
+            inits=_names(args.inits or "empty", "--inits", INITS),
             n_trials=args.t if args.t is not None else 150,
             checkpoints=_parse_int_list(args.checkpoints, "--checkpoints"),
             **common,

@@ -11,31 +11,18 @@ finish the sweep.
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import expit, gammaln, xlogy
 
-from .model import DegenerateModelError, SamplerState, log_pmf_noisy_or
+from .model import DegenerateModelError, SamplerState, log_pmf_noisy_or, log_pmf_table
 
 MAX_NEW_CAUSES = 10  # truncation of the per-row Poisson draw of fresh columns
-
-
-def _sum_log_pmf(x, counts, lam: float, epsilon: float) -> float:
-    return float(log_pmf_noisy_or(x, counts, lam, epsilon).sum())
 
 
 def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int:
     """Draw from {0, 1} with P(1) proportional to exp(logw1)."""
     if logw1 == -math.inf and logw0 == -math.inf:
         raise DegenerateModelError("both states of a binary draw have zero mass")
-    if logw1 == -math.inf:
-        p1 = 0.0
-    elif logw0 == -math.inf:
-        p1 = 1.0
-    elif logw1 >= logw0:
-        p1 = 1.0 / (1.0 + math.exp(logw0 - logw1))
-    else:
-        e = math.exp(logw1 - logw0)
-        p1 = e / (1.0 + e)
-    return 1 if rng.random() < p1 else 0
+    return 1 if rng.random() < expit(logw1 - logw0) else 0
 
 
 def _sample_z_given_theta(
@@ -46,10 +33,12 @@ def _sample_z_given_theta(
     old = int(state.Z[i, k])
     active = np.flatnonzero(state.Y[k])
     if active.size:
+        # Z Y <= K, so a table up to K covers every count
+        table = log_pmf_table(params.lam, params.epsilon, state.k)
         base = state.counts[i, active] - old
         x = X[i, active]
-        ll0 = _sum_log_pmf(x, base, params.lam, params.epsilon)
-        ll1 = _sum_log_pmf(x, base + 1, params.lam, params.epsilon)
+        ll0 = float(table[x, base].sum())
+        ll1 = float(table[x, base + 1].sum())
     else:
         ll0 = ll1 = 0.0  # an inactive cause leaves the likelihood untouched
     logw1 = (math.log(theta_bar) if theta_bar > 0 else -math.inf) + ll1
@@ -97,17 +86,12 @@ def sample_new_causes(
     """
     params = state.params
     n, t = state.n_rows, state.n_trials
-    x = X[i]
     ks = np.arange(max_new + 1, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        # log[(1-eps) eta_t (1-lam p)^k] per (k, trial)
-        log_off = (
-            xlogy(state.counts[i], 1.0 - params.lam)
-            + math.log1p(-params.epsilon)
-            + xlogy(ks, 1.0 - params.lam * params.p)[:, None]
-        )
-        log_on = np.log(-np.expm1(log_off))
-    per_trial = np.where(x == 1, log_on, log_off)
+    # k fresh causes, their activations summed out, multiply the off
+    # probability by (1 - lam p)^k: table[k, x, c]
+    fresh = xlogy(ks, 1.0 - params.lam * params.p)[:, None, None]
+    table = log_pmf_table(params.lam, params.epsilon, state.k, fresh)
+    per_trial = table[:, X[i], state.counts[i]]
     logw = per_trial.sum(axis=1) + xlogy(ks, params.alpha / n) - gammaln(ks + 1.0)
     top = logw.max()
     if top == -math.inf:
@@ -139,27 +123,16 @@ def _y_conditional_log_odds(state: SamplerState, k: int, X) -> np.ndarray:
         log_p0 = float(np.log1p(-params.p))
     if rows.size == 0:
         return np.full(state.n_trials, log_p1 - log_p0)
+    table = log_pmf_table(params.lam, params.epsilon, state.k)
     base = state.counts[rows] - state.Y[k][None, :]
     x = X[rows]
-    ll0 = log_pmf_noisy_or(x, base, params.lam, params.epsilon).sum(axis=0)
-    ll1 = log_pmf_noisy_or(x, base + 1, params.lam, params.epsilon).sum(axis=0)
+    ll0 = table[x, base].sum(axis=0)
+    ll1 = table[x, base + 1].sum(axis=0)
     logw1 = log_p1 + ll1
     logw0 = log_p0 + ll0
     if (np.isneginf(logw1) & np.isneginf(logw0)).any():
         raise DegenerateModelError("both states of an activation draw have zero mass")
-    delta = logw1 - logw0
-    delta[np.isneginf(logw1)] = -np.inf
-    delta[np.isneginf(logw0)] = np.inf
-    return delta
-
-
-def _probs_from_log_odds(delta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(delta)
-    pos = delta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-delta[pos]))
-    e = np.exp(delta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return logw1 - logw0
 
 
 def gibbs_sample_y_entry(state: SamplerState, k: int, t: int, X, rng: np.random.Generator) -> int:
@@ -175,8 +148,10 @@ def gibbs_sample_y_entry(state: SamplerState, k: int, t: int, X, rng: np.random.
     base = state.counts[rows, t] - old
     x = X[rows, t]
     with np.errstate(divide="ignore"):
-        logw1 = float(np.log(params.p)) + _sum_log_pmf(x, base + 1, params.lam, params.epsilon)
-        logw0 = float(np.log1p(-params.p)) + _sum_log_pmf(x, base, params.lam, params.epsilon)
+        ll1 = log_pmf_noisy_or(x, base + 1, params.lam, params.epsilon).sum()
+        ll0 = log_pmf_noisy_or(x, base, params.lam, params.epsilon).sum()
+        logw1 = float(np.log(params.p) + ll1)
+        logw0 = float(np.log1p(-params.p) + ll0)
     new = _two_point_draw(logw1, logw0, rng)
     if new != old:
         state.Y[k, t] = new
@@ -188,8 +163,7 @@ def resample_y_row(state: SamplerState, k: int, X, rng: np.random.Generator) -> 
     """One Gibbs pass over y[k, :], vectorized across trials; draws the
     same uniforms, in the same order, as the per-entry update would."""
     delta = _y_conditional_log_odds(state, k, X)
-    p1 = _probs_from_log_odds(delta)
-    new = (rng.random(state.n_trials) < p1).astype(np.int8)
+    new = (rng.random(state.n_trials) < expit(delta)).astype(np.int8)
     rows = np.flatnonzero(state.Z[:, k])
     diff = new.astype(np.int32) - state.Y[k].astype(np.int32)
     if rows.size and diff.any():

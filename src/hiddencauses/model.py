@@ -15,6 +15,12 @@ trips it with probability ``epsilon``, so
 Activations are iid Bernoulli(p).  Two priors over Z are supported: a
 finite K-column beta-Bernoulli prior with per-column weight alpha / K,
 and its K -> infinity limit (see :mod:`hiddencauses.ibp`).
+
+The likelihood depends on (Z, Y) only through counts = Z @ Y, and on each
+entry only through the pair (x, count).  ``log_pmf_noisy_or`` is the one
+kernel that computes log P(x | count); ``log_pmf_table`` evaluates it on
+every (x, count) pair up to a cap, and the samplers, the MH step and the
+trace gather their likelihood terms from that table.
 """
 
 import math
@@ -84,25 +90,37 @@ def noisy_or_prob(active_count: int, params: ModelParams) -> float:
     return 1.0 - (1.0 - params.lam) ** active_count * (1.0 - params.epsilon)
 
 
-def log_pmf_noisy_or(x, counts, lam: float, epsilon: float) -> np.ndarray:
+def log_pmf_noisy_or(x, counts, lam: float, epsilon: float, log_off_extra=0.0) -> np.ndarray:
     """Elementwise log P(x | counts) under the noisy-OR observation model.
 
-    ``x`` and ``counts`` broadcast together.  Returns -inf (never NaN) for
-    zero-probability entries at parameter boundaries.
+    ``x``, ``counts`` and ``log_off_extra`` broadcast together;
+    ``log_off_extra`` is added last to log P(x = 0 | counts), as when
+    further causes of known off-probability attach.  Returns -inf (never
+    NaN) for zero-probability entries at parameter boundaries.
     """
     x = np.asarray(x)
     counts = np.asarray(counts)
     with np.errstate(divide="ignore"):
-        # log P(x=0 | c) = c log(1 - lam) + log(1 - epsilon)
-        log_off = xlogy(counts, 1.0 - lam) + np.log1p(-epsilon)
+        # log P(x=0 | c) = c log(1 - lam) + log(1 - epsilon) [+ extra]
+        log_off = xlogy(counts, 1.0 - lam) + np.log1p(-epsilon) + log_off_extra
         # log P(x=1 | c) = log(1 - exp(log_off)), computed stably
         log_on = np.log(-np.expm1(log_off))
     return np.where(x == 1, log_on, log_off)
 
 
+def log_pmf_table(lam: float, epsilon: float, c_max: int, log_off_extra=0.0) -> np.ndarray:
+    """``log_pmf_noisy_or`` at x in {0, 1} and c in 0..c_max, indexed
+    ``table[..., x, c]`` (leading axes come from ``log_off_extra``)."""
+    x = np.arange(2)[:, None]
+    return log_pmf_noisy_or(x, np.arange(c_max + 1), lam, epsilon, log_off_extra)
+
+
 def log_likelihood_from_counts(X, counts, lam: float, epsilon: float) -> float:
     """Total log-likelihood given the cause-count matrix counts = Z @ Y."""
-    return float(log_pmf_noisy_or(X, counts, lam, epsilon).sum())
+    counts = np.asarray(counts)
+    table = log_pmf_table(lam, epsilon, int(counts.max(initial=0)))
+    x = (np.asarray(X) == 1).astype(np.intp)  # as log_pmf_noisy_or reads x
+    return float(table[x, counts].sum())
 
 
 def log_likelihood(X, Z, Y, params: ModelParams) -> float:

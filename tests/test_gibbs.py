@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from hiddencauses import (
     DegenerateModelError,
@@ -19,7 +20,7 @@ from hiddencauses import (
     sample_new_causes,
 )
 from hiddencauses.gibbs import MAX_NEW_CAUSES, resample_all_y, resample_y_row
-from hiddencauses.model import log_pmf_noisy_or
+from hiddencauses.model import log_pmf_noisy_or, log_pmf_table
 
 PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=1.0)
 
@@ -153,6 +154,21 @@ class TestMarginalOnProb:
             )
             np.testing.assert_allclose(
                 marginal_on_prob(eta, k, params), brute, rtol=1e-12
+            )
+
+    def test_fresh_cause_table_matches_closed_form(self):
+        """The x = 1 entries of the table sample_new_causes gathers from,
+        with log_off_extra = k log(1 - lam p), equal the closed form."""
+        params = ModelParams(epsilon=0.1, lam=0.6, p=0.35, alpha=1.0)
+        c_max = 6
+        c = np.arange(c_max + 1)
+        for k in range(MAX_NEW_CAUSES + 1):
+            extra = xlogy(k, 1.0 - params.lam * params.p)
+            table = log_pmf_table(params.lam, params.epsilon, c_max, extra)
+            np.testing.assert_allclose(
+                np.exp(table[1]),
+                marginal_on_prob((1.0 - params.lam) ** c, k, params),
+                rtol=1e-12,
             )
 
 

@@ -106,6 +106,14 @@ class TestNoisyOr:
         )
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_float_counts_accepted(self):
+        counts = np.array([[0, 1], [2, 3]])
+        x = np.array([[1, 0], [1, 0]])
+        np.testing.assert_array_equal(
+            log_pmf_noisy_or(x, counts.astype(np.float64), 0.9, 0.01),
+            log_pmf_noisy_or(x, counts, 0.9, 0.01),
+        )
+
     def test_boundary_gives_neg_inf_not_nan(self):
         """x = 1 with eps = 0 and no active cause has zero probability."""
         got = log_pmf_noisy_or(np.array([1]), np.array([0]), 0.5, 0.0)

@@ -18,6 +18,7 @@ from hiddencauses import (
     write_dataset_bundle,
 )
 from hiddencauses import experiments
+from hiddencauses.dataio import file_digest
 from hiddencauses.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
 
 PARAMS = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=1.0)
@@ -221,22 +222,21 @@ class TestCliGenerate:
 class TestCliFit:
     def test_outputs_and_determinism(self, tmp_path):
         bundle = _generate(tmp_path)
-        outs = []
-        for name in ("fit_a", "fit_b"):
-            out = tmp_path / name
-            code = main(
-                ["fit", "--data", str(bundle), "--out", str(out), "--iterations", "30",
-                 "--seed", "3"]
-            )
-            assert code == EXIT_OK
-            outs.append(out)
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(bundle), "--out", str(out), "--iterations", "30",
+                "--seed", "3"]
+        digests = []
+        for _ in range(2):  # the same command twice, so summary.json's config matches too
+            assert main(argv) == EXIT_OK
+            digests.append([file_digest(out / name) for name in ("trace.jsonl", "summary.json")])
+        assert digests[0] == digests[1]
         for name in ("trace.jsonl", "summary.json", "Z_final.csv", "zzt.csv"):
-            assert (outs[0] / name).exists()
-        assert (outs[0] / "trace.jsonl").read_bytes() == (outs[1] / "trace.jsonl").read_bytes()
-        summary = json.loads((outs[0] / "summary.json").read_text())
+            assert (out / name).exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert "elapsed_ms" not in summary
         assert summary["iterations"] == 30
         assert summary["sample_count"] == 30
-        assert len(read_trace(outs[0] / "trace.jsonl")) == 31
+        assert len(read_trace(out / "trace.jsonl")) == 31
 
     def test_timing_flag_adds_wall_ms(self, tmp_path):
         bundle = _generate(tmp_path)
@@ -247,6 +247,7 @@ class TestCliFit:
         assert code == EXIT_OK
         records = read_trace(out / "trace.jsonl")
         assert "wall_ms" in records[1]
+        assert "elapsed_ms" in json.loads((out / "summary.json").read_text())
 
     def test_missing_data_is_data_error(self, tmp_path, capsys):
         code = main(["fit", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -372,6 +373,22 @@ class TestCliReplicate:
             assert main(["replicate", "fig3", "--out", str(tmp_path / "s"), "--jobs", jobs]) \
                 == EXIT_USAGE
             assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("figure,flag,value", [
+        ("fig3", "--samplers", "gibbs,vb"),
+        ("fig3", "--inits", "empty,random"),
+        ("fig4", "--structures", "degree1,nosuch"),
+    ], ids=["samplers", "inits", "structures"])
+    def test_unknown_name_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                         figure, flag, value):
+        calls = []
+        monkeypatch.setattr(experiments, "run_chain", lambda *a, **kw: calls.append(kw))
+        argv = ["replicate", figure, "--out", str(tmp_path / "s"), "--datasets", "1",
+                "--iterations", "1", flag, value]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flag in err and value.split(",")[1] in err
+        assert calls == []
 
     def test_worker_count_clamped_by_runs_and_cores(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
