@@ -298,28 +298,28 @@ def _names(text: str, flag: str, allowed) -> tuple[str, ...]:
 def cmd_replicate(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    out = dataio.ensure_dir(args.out)
-    common = dict(master_seed=args.seed, samplers=_names(args.samplers, "--samplers", SAMPLERS),
-                  datasets_per_condition=args.datasets, iterations=args.iterations,
-                  params=_params(args), jobs=args.jobs)
+    # every argument is checked before --out is created
+    study = dict(master_seed=args.seed, samplers=_names(args.samplers, "--samplers", SAMPLERS),
+                 datasets_per_condition=args.datasets, iterations=args.iterations,
+                 params=_params(args), jobs=args.jobs)
     if args.figure == "fig3":
-        run_type = experiments.DimensionRun
-        runs = experiments.dimension_recovery_experiment(
+        run_type, experiment = experiments.DimensionRun, experiments.dimension_recovery_experiment
+        study.update(
             k_values=_parse_int_list(args.k_range, "--k-range"),
             inits=_names(args.inits or "empty,random10", "--inits", INITS),
             n_rows=args.n,
             n_trials=args.t if args.t is not None else 500,
-            **common,
         )
     else:
-        run_type = experiments.StructureRun
-        runs = experiments.structure_recovery_experiment(
+        run_type, experiment = experiments.StructureRun, experiments.structure_recovery_experiment
+        study.update(
             structures=_names(args.structures, "--structures", CANONICAL_STRUCTURES),
             inits=_names(args.inits or "empty", "--inits", INITS),
             n_trials=args.t if args.t is not None else 150,
             checkpoints=_parse_int_list(args.checkpoints, "--checkpoints"),
-            **common,
         )
+    out = dataio.ensure_dir(args.out)
+    runs = experiment(**study)
     table = out / f"{args.figure}_results.csv"
     run_type.write_table(table, runs)
     print(f"wrote {table}")

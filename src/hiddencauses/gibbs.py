@@ -13,7 +13,13 @@ import math
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from .model import DegenerateModelError, SamplerState, log_pmf_noisy_or, log_pmf_table
+from .model import (
+    DegenerateModelError,
+    SamplerState,
+    flat_index,
+    log_pmf_noisy_or,
+    shared_log_pmf_table,
+)
 
 MAX_NEW_CAUSES = 10  # truncation of the per-row Poisson draw of fresh columns
 
@@ -31,14 +37,15 @@ def _sample_z_given_theta(
     """Two-point draw of z[i, k] with prior weight theta_bar on 1."""
     params = state.params
     old = int(state.Z[i, k])
-    active = np.flatnonzero(state.Y[k])
+    active = state.Y[k].nonzero()[0]
     if active.size:
         # Z Y <= K, so a table up to K covers every count
-        table = log_pmf_table(params.lam, params.epsilon, state.k)
-        base = state.counts[i, active] - old
-        x = X[i, active]
-        ll0 = float(table[x, base].sum())
-        ll1 = float(table[x, base + 1].sum())
+        table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
+        idx = flat_index(X[i, active], state.counts[i, active], state.k)
+        idx -= old
+        ll0 = float(table.take(idx).sum())
+        idx += 1
+        ll1 = float(table.take(idx).sum())
     else:
         ll0 = ll1 = 0.0  # an inactive cause leaves the likelihood untouched
     logw1 = (math.log(theta_bar) if theta_bar > 0 else -math.inf) + ll1
@@ -74,6 +81,19 @@ def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
     return 1.0 - (1.0 - params.epsilon) * eta * (1.0 - params.lam * params.p) ** k_new
 
 
+def _fresh_cause_log_weights(state: SamplerState, i: int, X, max_new: int) -> np.ndarray:
+    """Unnormalized log-probabilities of k = 0..max_new fresh causes at row i."""
+    params = state.params
+    ks = np.arange(max_new + 1, dtype=np.float64)
+    # table[k, x, c]: k fresh causes, their activations summed out
+    table = shared_log_pmf_table(params.lam, params.epsilon, state.k, params.p, max_new)
+    idx = flat_index(X[i], state.counts[i], state.k)
+    # gathered trial-major (the layout of table[:, x, c]) so that the sum
+    # over trials adds in the same order
+    per_trial = table.reshape(max_new + 1, -1).T.take(idx, axis=0).T
+    return per_trial.sum(axis=1) + xlogy(ks, params.alpha / state.n_rows) - gammaln(ks + 1.0)
+
+
 def sample_new_causes(
     state: SamplerState, i: int, X, rng: np.random.Generator, max_new: int = MAX_NEW_CAUSES
 ) -> int:
@@ -84,15 +104,8 @@ def sample_new_causes(
     accepted cause appends a column with a single 1 at row i and a zero
     activation row that is then Gibbs-resampled once.
     """
-    params = state.params
     n, t = state.n_rows, state.n_trials
-    ks = np.arange(max_new + 1, dtype=np.float64)
-    # k fresh causes, their activations summed out, multiply the off
-    # probability by (1 - lam p)^k: table[k, x, c]
-    fresh = xlogy(ks, 1.0 - params.lam * params.p)[:, None, None]
-    table = log_pmf_table(params.lam, params.epsilon, state.k, fresh)
-    per_trial = table[:, X[i], state.counts[i]]
-    logw = per_trial.sum(axis=1) + xlogy(ks, params.alpha / n) - gammaln(ks + 1.0)
+    logw = _fresh_cause_log_weights(state, i, X, max_new)
     top = logw.max()
     if top == -math.inf:
         raise DegenerateModelError("no feasible number of fresh causes for this row")
@@ -113,21 +126,22 @@ def sample_new_causes(
     return k_new
 
 
-def _y_conditional_log_odds(state: SamplerState, k: int, X) -> np.ndarray:
+def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) -> np.ndarray:
     """Log-odds of y[k, t] = 1 for all trials at once (trials are
-    conditionally independent given the rest of the state)."""
+    conditionally independent given the rest of the state); rows are the
+    rows of Z linked to cause k."""
     params = state.params
-    rows = np.flatnonzero(state.Z[:, k])
     with np.errstate(divide="ignore"):
         log_p1 = float(np.log(params.p))
         log_p0 = float(np.log1p(-params.p))
     if rows.size == 0:
         return np.full(state.n_trials, log_p1 - log_p0)
-    table = log_pmf_table(params.lam, params.epsilon, state.k)
-    base = state.counts[rows] - state.Y[k][None, :]
-    x = X[rows]
-    ll0 = table[x, base].sum(axis=0)
-    ll1 = table[x, base + 1].sum(axis=0)
+    table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
+    idx = flat_index(X[rows], state.counts[rows], state.k)
+    idx -= state.Y[k]
+    ll0 = table.take(idx).sum(axis=0)
+    idx += 1
+    ll1 = table.take(idx).sum(axis=0)
     logw1 = log_p1 + ll1
     logw0 = log_p0 + ll0
     if (np.isneginf(logw1) & np.isneginf(logw0)).any():
@@ -139,7 +153,7 @@ def gibbs_sample_y_entry(state: SamplerState, k: int, t: int, X, rng: np.random.
     """Resample y[k, t] given everything else.  Only rows linked to cause
     k enter the likelihood ratio; with none, the draw is the prior p."""
     params = state.params
-    rows = np.flatnonzero(state.Z[:, k])
+    rows = state.Z[:, k].nonzero()[0]
     old = int(state.Y[k, t])
     if rows.size == 0:
         new = 1 if rng.random() < params.p else 0
@@ -162,9 +176,9 @@ def gibbs_sample_y_entry(state: SamplerState, k: int, t: int, X, rng: np.random.
 def resample_y_row(state: SamplerState, k: int, X, rng: np.random.Generator) -> None:
     """One Gibbs pass over y[k, :], vectorized across trials; draws the
     same uniforms, in the same order, as the per-entry update would."""
-    delta = _y_conditional_log_odds(state, k, X)
+    rows = state.Z[:, k].nonzero()[0]
+    delta = _y_conditional_log_odds(state, k, X, rows)
     new = (rng.random(state.n_trials) < expit(delta)).astype(np.int8)
-    rows = np.flatnonzero(state.Z[:, k])
     diff = new.astype(np.int32) - state.Y[k].astype(np.int32)
     if rows.size and diff.any():
         state.counts[rows] += diff[None, :]
@@ -206,7 +220,7 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
             if state.Z[i, k]:
                 state.Z[i, k] = 0
                 state.column_sums[k] -= 1
-                active = np.flatnonzero(state.Y[k])
+                active = state.Y[k].nonzero()[0]
                 if active.size:
                     state.counts[i, active] -= 1
         sample_new_causes(state, i, X, rng)

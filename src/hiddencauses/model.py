@@ -19,12 +19,15 @@ and its K -> infinity limit (see :mod:`hiddencauses.ibp`).
 The likelihood depends on (Z, Y) only through counts = Z @ Y, and on each
 entry only through the pair (x, count).  ``log_pmf_noisy_or`` is the one
 kernel that computes log P(x | count); ``log_pmf_table`` evaluates it on
-every (x, count) pair up to a cap, and the samplers, the MH step and the
-trace gather their likelihood terms from that table.
+every (x, count) pair up to a cap.  ``shared_log_pmf_table`` builds that
+table once per (lam, epsilon, cap) and hands out the same read-only
+array, and the samplers, the MH step and the trace gather their
+likelihood terms from it by flat index x (cap + 1) + count.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -115,12 +118,41 @@ def log_pmf_table(lam: float, epsilon: float, c_max: int, log_off_extra=0.0) -> 
     return log_pmf_noisy_or(x, np.arange(c_max + 1), lam, epsilon, log_off_extra)
 
 
+TABLE_CACHE_SIZE = 64  # covers the K values of a chain; each MH proposal adds a key
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def shared_log_pmf_table(lam: float, epsilon: float, c_max: int, p=None, max_new: int = 0):
+    """``log_pmf_table(lam, epsilon, c_max)``, built once per key, read-only.
+
+    Given p, the table gains a leading axis for k = 0..max_new fresh
+    causes of activation probability p: summed out, they multiply the off
+    probability by (1 - lam p)^k, so ``table[k, x, c]``.  Callers share
+    the returned array and must not write to it.
+    """
+    extra = 0.0
+    if p is not None:
+        extra = xlogy(np.arange(max_new + 1, dtype=np.float64), 1.0 - lam * p)[:, None, None]
+    table = log_pmf_table(lam, epsilon, c_max, extra)
+    table.flags.writeable = False
+    return table
+
+
+def flat_index(x, counts, c_max: int) -> np.ndarray:
+    """Index x (c_max + 1) + counts into a raveled table, built in place."""
+    idx = x.astype(np.intp)  # an int8 x times c_max + 1 could wrap
+    idx *= c_max + 1
+    idx += counts
+    return idx
+
+
 def log_likelihood_from_counts(X, counts, lam: float, epsilon: float) -> float:
     """Total log-likelihood given the cause-count matrix counts = Z @ Y."""
     counts = np.asarray(counts)
-    table = log_pmf_table(lam, epsilon, int(counts.max(initial=0)))
-    x = (np.asarray(X) == 1).astype(np.intp)  # as log_pmf_noisy_or reads x
-    return float(table[x, counts].sum())
+    c_max = int(counts.max(initial=0))
+    table = shared_log_pmf_table(lam, epsilon, c_max).ravel()
+    idx = flat_index(np.asarray(X) == 1, counts, c_max)  # as log_pmf_noisy_or reads x
+    return float(table.take(idx).sum())
 
 
 def log_likelihood(X, Z, Y, params: ModelParams) -> float:

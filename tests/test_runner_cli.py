@@ -390,6 +390,19 @@ class TestCliReplicate:
         assert flag in err and value.split(",")[1] in err
         assert calls == []
 
+    @pytest.mark.parametrize("figure,flag,value", [
+        ("fig3", "--samplers", "vb"),
+        ("fig3", "--k-range", "x"),
+        ("fig3", "--inits", "random"),
+        ("fig4", "--structures", "nosuch"),
+        ("fig4", "--checkpoints", "1,x"),
+        ("fig3", "--jobs", "0"),
+    ])
+    def test_usage_error_leaves_no_out_dir(self, tmp_path, figure, flag, value):
+        out = tmp_path / "D"
+        assert main(["replicate", figure, "--out", str(out), flag, value]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_worker_count_clamped_by_runs_and_cores(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         assert experiments.worker_count(1, 100) == 1
