@@ -29,7 +29,7 @@ from .harness import (
 )
 from .model import DegenerateModelError, ModelParams
 from .rjmcmc import make_k_prior
-from .runner import INITS, SAMPLERS, default_k_prior, run_chain
+from .runner import INITS, SAMPLERS, run_chain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,17 +50,16 @@ def _params(args) -> ModelParams:
     return ModelParams(epsilon=args.epsilon, lam=args.lam, p=args.p, alpha=args.alpha)
 
 
-def _add_param_flags(parser, defaults=(0.01, 0.9, 0.1, 3.0)):
-    eps, lam, p, alpha = defaults
-    parser.add_argument("--epsilon", type=float, default=eps, help="leak probability")
-    parser.add_argument("--lambda", dest="lam", type=float, default=lam, help="transmission probability")
-    parser.add_argument("--p", type=float, default=p, help="activation probability")
-    parser.add_argument("--alpha", type=float, default=alpha, help="structure intensity")
+def _add_param_flags(parser):
+    parser.add_argument("--epsilon", type=float, default=0.01, help="leak probability")
+    parser.add_argument("--lambda", dest="lam", type=float, default=0.9, help="transmission probability")
+    parser.add_argument("--p", type=float, default=0.1, help="activation probability")
+    parser.add_argument("--alpha", type=float, default=3.0, help="structure intensity")
 
 
-def build_parser(fit_defaults: dict | None = None) -> _Parser:
-    """The command parser; fit_defaults (from --config) replace the fit
-    subcommand's built-in defaults, so typed flags still win."""
+def build_parser(config=None) -> _Parser:
+    """The command parser; the settings in the JSON file `config` replace
+    the fit subcommand's built-in defaults, so typed flags still win."""
     parser = _Parser(prog="hiddencauses", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -99,7 +98,8 @@ def build_parser(fit_defaults: dict | None = None) -> _Parser:
     f.add_argument("--timing", action="store_true",
                    help="record per-iteration wall time (breaks byte-identical traces)")
     _add_param_flags(f)
-    f.set_defaults(**(fit_defaults or {}))
+    if config:
+        f.set_defaults(**_load_config(config, f._actions))
 
     e = sub.add_parser("eval", help="score a fit against ground truth")
     e.add_argument("--summary", required=True, help="summary.json from fit")
@@ -163,22 +163,39 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path, known) -> dict:
+def _load_config(path, actions) -> dict:
     """Fit settings from a JSON object, keyed by flag dest (dashed names
-    and "lambda" accepted); `known` lists the dests a config may set."""
+    and "lambda" accepted), each checked by its flag's action: a switch
+    takes a JSON boolean, any other flag parses the value's text with its
+    own type and choices, and null keeps a flag whose default is None."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    flags = {a.dest: a for a in actions if a.option_strings and a.dest != "help"}
     settings = {}
     for key, value in cfg.items():
         key = key.replace("-", "_")
         if key == "lambda":
             key = "lam"
-        if key in ("data", "out"):
+        if key in ("data", "out", "config"):
             raise ValueError(f"{path}: {key} must be given as a flag")
-        if key not in known:
+        if key not in flags:
             raise ValueError(f"{path}: unknown setting {key!r}")
+        action = flags[key]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"{path}: {key} must be true or false, got {value!r}")
+        elif value is not None or action.default is not None:
+            text = str(value)
+            try:
+                value = action.type(text) if action.type else text
+            except ValueError:
+                raise ValueError(
+                    f"{path}: {key}: invalid {action.type.__name__} value {value!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{path}: {key}: invalid choice {value!r} "
+                                 f"(choose from {', '.join(action.choices)})")
         settings[key] = value
     return settings
 
@@ -186,17 +203,10 @@ def _load_config(path, known) -> dict:
 def cmd_fit(args) -> int:
     X = dataio.load_observations(args.data)
     params = _params(args)
-    k_prior = None
-    if args.sampler == "rjmcmc":
-        if args.prior_k == "poisson":
-            mean = args.prior_k_mean
-            k_prior = (
-                make_k_prior("poisson", mean=mean)
-                if mean is not None
-                else default_k_prior(params.alpha, X.shape[0])
-            )
-        else:
-            k_prior = make_k_prior(args.prior_k, q=args.prior_k_q, k_max=args.k_max)
+    k_prior = None  # None: the chain's default prior over K
+    if args.sampler == "rjmcmc" and (args.prior_k != "poisson" or args.prior_k_mean is not None):
+        k_prior = make_k_prior(args.prior_k, mean=args.prior_k_mean, q=args.prior_k_q,
+                               k_max=args.k_max)
 
     result = run_chain(
         X,
@@ -217,7 +227,7 @@ def cmd_fit(args) -> int:
     out = dataio.ensure_dir(args.out)
     dataio.write_trace(
         out / "trace.jsonl",
-        [rec.to_dict(include_timing=args.timing) for rec in result.trace],
+        [rec.to_dict() for rec in result.trace],
     )
     summary = result.summary
     final = result.state
@@ -339,8 +349,7 @@ def main(argv=None) -> int:
             return cmd_generate(args)
         if args.command == "fit":
             if args.config:
-                known = set(vars(args)) - {"command", "config"}
-                args = build_parser(_load_config(args.config, known)).parse_args(argv)
+                args = build_parser(args.config).parse_args(argv)
             return cmd_fit(args)
         if args.command == "eval":
             return cmd_eval(args)

@@ -20,10 +20,7 @@ class TruncatedTraceError(ValueError):
 
 
 def write_matrix_csv(path, M) -> None:
-    M = as_binary_matrix(M, "matrix")
-    with open(path, "w") as fh:
-        for row in M:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+    np.savetxt(path, as_binary_matrix(M, "matrix"), fmt="%d", delimiter=",")
 
 
 def read_matrix_csv(path) -> np.ndarray:

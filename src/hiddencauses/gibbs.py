@@ -13,13 +13,7 @@ import math
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from .model import (
-    DegenerateModelError,
-    SamplerState,
-    flat_index,
-    log_pmf_noisy_or,
-    shared_log_pmf_table,
-)
+from .model import DegenerateModelError, SamplerState, flat_index, shared_log_pmf_table
 
 MAX_NEW_CAUSES = 10  # truncation of the per-row Poisson draw of fresh columns
 
@@ -147,30 +141,6 @@ def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) ->
     if (np.isneginf(logw1) & np.isneginf(logw0)).any():
         raise DegenerateModelError("both states of an activation draw have zero mass")
     return logw1 - logw0
-
-
-def gibbs_sample_y_entry(state: SamplerState, k: int, t: int, X, rng: np.random.Generator) -> int:
-    """Resample y[k, t] given everything else.  Only rows linked to cause
-    k enter the likelihood ratio; with none, the draw is the prior p."""
-    params = state.params
-    rows = state.Z[:, k].nonzero()[0]
-    old = int(state.Y[k, t])
-    if rows.size == 0:
-        new = 1 if rng.random() < params.p else 0
-        state.Y[k, t] = new
-        return new
-    base = state.counts[rows, t] - old
-    x = X[rows, t]
-    with np.errstate(divide="ignore"):
-        ll1 = log_pmf_noisy_or(x, base + 1, params.lam, params.epsilon).sum()
-        ll0 = log_pmf_noisy_or(x, base, params.lam, params.epsilon).sum()
-        logw1 = float(np.log(params.p) + ll1)
-        logw0 = float(np.log1p(-params.p) + ll0)
-    new = _two_point_draw(logw1, logw0, rng)
-    if new != old:
-        state.Y[k, t] = new
-        state.counts[rows, t] += new - old
-    return new
 
 
 def resample_y_row(state: SamplerState, k: int, X, rng: np.random.Generator) -> None:

@@ -6,6 +6,7 @@ over bipartite graphs with an unbounded number of causes.
 """
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -20,19 +21,25 @@ def harmonic_number(n: int) -> float:
 
 
 def _poisson_draw(mean: float, rng: np.random.Generator) -> int:
-    """Poisson draw by inversion with sequential search (small means)."""
+    """Poisson draw by inversion with sequential search (small means).
+
+    Raises ValueError when exp(-mean) is not a normal double (mean above
+    about 708), where the search would return a wrong count.
+    """
     if mean <= 0.0:
         return 0
+    pmf = math.exp(-mean)
+    if pmf < sys.float_info.min:
+        raise ValueError(f"Poisson mean {mean:g} is too large for the sequential draw")
     u = rng.random()
     k = 0
-    pmf = math.exp(-mean)
     cdf = pmf
     while u > cdf:
         k += 1
         pmf *= mean / k
         cdf += pmf
-        if k > 100_000:  # unreachable for the small means used here
-            break
+        if k > 100_000:
+            raise ValueError(f"Poisson draw at mean {mean:g} did not end in 100000 steps")
     return k
 
 

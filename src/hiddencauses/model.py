@@ -83,16 +83,6 @@ def as_binary_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr.astype(np.int8)
 
 
-def noisy_or_prob(active_count: int, params: ModelParams) -> float:
-    """P(x = 1 | c active linked causes) = 1 - (1 - lam)^c (1 - epsilon).
-
-    Monotone nondecreasing in ``active_count`` and bounded to [epsilon, 1].
-    """
-    if active_count < 0:
-        raise ValueError("active_count must be nonnegative")
-    return 1.0 - (1.0 - params.lam) ** active_count * (1.0 - params.epsilon)
-
-
 def log_pmf_noisy_or(x, counts, lam: float, epsilon: float, log_off_extra=0.0) -> np.ndarray:
     """Elementwise log P(x | counts) under the noisy-OR observation model.
 
@@ -224,12 +214,11 @@ def log_prior_Z_finite(Z, k: int, alpha: float) -> float:
     return log_prior_Z_finite_from_sums(Z.sum(axis=0), Z.shape[0], k, alpha)
 
 
-def log_joint(X, Z, Y, params: ModelParams, prior: str = "ibp", k: int | None = None) -> float:
+def log_joint(X, Z, Y, params: ModelParams, prior: str = "ibp") -> float:
     """log P(X, Z, Y) under the chosen prior over Z.
 
     prior="ibp" uses the unbounded-cause prior (Z must have no all-zero
-    columns); prior="finite" uses the k-column prior with k defaulting to
-    Z's column count.
+    columns); prior="finite" uses the prior over Z's column count.
     """
     from .ibp import log_prior_Z_ibp
 
@@ -238,8 +227,7 @@ def log_joint(X, Z, Y, params: ModelParams, prior: str = "ibp", k: int | None = 
     if prior == "ibp":
         lp_z = log_prior_Z_ibp(Z, params.alpha)
     elif prior == "finite":
-        kk = np.asarray(Z).shape[1] if k is None else k
-        lp_z = log_prior_Z_finite(Z, kk, params.alpha)
+        lp_z = log_prior_Z_finite(Z, np.asarray(Z).shape[1], params.alpha)
     else:
         raise ValueError(f"unknown prior {prior!r}")
     return ll + lp_y + lp_z
@@ -251,7 +239,7 @@ class SamplerState:
 
     ``column_sums`` holds Z's column sums and ``counts`` holds Z @ Y;
     both are maintained incrementally by the samplers and must never be
-    mutated elsewhere.  ``check_consistency`` recomputes them for tests.
+    mutated elsewhere.
     """
 
     Z: np.ndarray
@@ -267,12 +255,14 @@ class SamplerState:
             self.counts = self.Z.astype(np.int32) @ self.Y.astype(np.int32)
 
     @classmethod
-    def from_matrices(cls, Z, Y, params: ModelParams) -> "SamplerState":
+    def from_matrices(cls, Z, Y, params: ModelParams, **fields) -> "SamplerState":
+        """Validate Z and Y and build the state; fields set a subclass's
+        extra fields (a finite state's ``k_prior``)."""
         Z = as_binary_matrix(Z, "Z")
         Y = as_binary_matrix(Y, "Y")
         if Z.shape[1] != Y.shape[0]:
             raise ValueError(f"Z has {Z.shape[1]} columns, Y has {Y.shape[0]} rows")
-        return cls(Z=Z, Y=Y, params=params)
+        return cls(Z=Z, Y=Y, params=params, **fields)
 
     @property
     def n_rows(self) -> int:
@@ -291,24 +281,3 @@ class SamplerState:
     def kplus(self) -> int:
         """Number of columns with at least one edge."""
         return int(np.count_nonzero(self.column_sums))
-
-    def copy(self) -> "SamplerState":
-        import dataclasses
-
-        # replace() keeps fields added by subclasses (e.g. a prior over K)
-        return dataclasses.replace(
-            self,
-            Z=self.Z.copy(),
-            Y=self.Y.copy(),
-            column_sums=self.column_sums.copy(),
-            counts=self.counts.copy(),
-        )
-
-    def check_consistency(self):
-        """Assert the caches match Z and Y exactly (test helper)."""
-        assert self.Z.shape[1] == self.Y.shape[0]
-        assert np.isin(self.Z, (0, 1)).all() and np.isin(self.Y, (0, 1)).all()
-        np.testing.assert_array_equal(self.column_sums, self.Z.sum(axis=0))
-        np.testing.assert_array_equal(
-            self.counts, self.Z.astype(np.int32) @ self.Y.astype(np.int32)
-        )

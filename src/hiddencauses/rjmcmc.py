@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .gibbs import _sample_z_given_theta, resample_all_y
-from .model import ModelParams, SamplerState, as_binary_matrix, log_prior_Z_finite_from_sums
+from .model import SamplerState, log_prior_Z_finite_from_sums
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +108,6 @@ class FiniteState(SamplerState):
         super().__post_init__()
         if self.Z.shape[1] < 1:
             raise ValueError("finite state needs K >= 1")
-
-    @classmethod
-    def from_matrices(cls, Z, Y, params: ModelParams, k_prior=None) -> "FiniteState":
-        Z = as_binary_matrix(Z, "Z")
-        Y = as_binary_matrix(Y, "Y")
-        if Z.shape[1] != Y.shape[0]:
-            raise ValueError(f"Z has {Z.shape[1]} columns, Y has {Y.shape[0]} rows")
-        kwargs = {} if k_prior is None else {"k_prior": k_prior}
-        return cls(Z=Z, Y=Y, params=params, **kwargs)
 
 
 def _log_prior_z(state: FiniteState, column_sums, k: int) -> float:

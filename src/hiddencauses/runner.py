@@ -36,7 +36,7 @@ class TraceRecord:
     log_joint: float
     wall_ms: float | None = None
 
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         rec = {
             "iteration": self.iteration,
             "kplus": self.kplus,
@@ -47,7 +47,7 @@ class TraceRecord:
             "alpha": self.alpha,
             "log_joint": self.log_joint,
         }
-        if include_timing and self.wall_ms is not None:
+        if self.wall_ms is not None:
             rec["wall_ms"] = self.wall_ms
         return rec
 
@@ -79,6 +79,8 @@ def initial_state(
     random10: K = K+ = 10 with iid Bernoulli(0.5) entries in Z and Y;
     any all-zero Z column gets a single 1 at a random row so every
     column is linked.
+
+    The finite sampler's prior over K defaults to ``default_k_prior``.
     """
     X = np.asarray(X)
     n, t = X.shape
@@ -103,8 +105,9 @@ def initial_state(
             Z[int(rng.integers(n)), col] = 1
     if sampler == "gibbs":
         return SamplerState(Z=Z, Y=Y, params=params)
-    kwargs = {} if k_prior is None else {"k_prior": k_prior}
-    return FiniteState(Z=Z, Y=Y, params=params, **kwargs)
+    if k_prior is None:
+        k_prior = default_k_prior(params.alpha, n)
+    return FiniteState(Z=Z, Y=Y, params=params, k_prior=k_prior)
 
 
 def default_k_prior(alpha: float, n_rows: int) -> ShiftedPoissonK:
@@ -160,8 +163,6 @@ def run_chain(
         raise ValueError("iterations must be >= 0")
     if rng is None:
         rng = np.random.default_rng(seed)
-    if sampler == "rjmcmc" and k_prior is None:
-        k_prior = default_k_prior(params.alpha, X.shape[0])
     state = initial_state(X, sampler, init, params, rng, k_prior=k_prior)
     acc = SummaryAccumulator(X.shape[0])
     snapshots: dict[int, PosteriorSummary] = {}

@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
-from hiddencauses import (
-    Dataset,
-    GroundTruth,
-    ModelParams,
+from hiddencauses import ModelParams, file_digest, read_trace, write_dataset_bundle
+from hiddencauses.dataio import (
     TruncatedTraceError,
-    file_digest,
     load_observations,
     read_dataset_bundle,
     read_matrix_csv,
-    read_trace,
-    write_dataset_bundle,
+    read_params_json,
     write_matrix_csv,
+    write_params_json,
     write_trace,
 )
-from hiddencauses.dataio import read_params_json, write_params_json
+from hiddencauses.harness import Dataset, GroundTruth
 
 PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=3.0)
 

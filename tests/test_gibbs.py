@@ -1,5 +1,6 @@
 """Unit tests for the collapsed Gibbs sampler over (Z, Y)."""
 
+import copy
 import itertools
 import math
 
@@ -7,19 +8,23 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
+from helpers import check_consistency, gibbs_sample_y_entry
 from hiddencauses import (
     DegenerateModelError,
     ModelParams,
     SamplerState,
-    compact_state,
-    gibbs_sample_y_entry,
-    gibbs_sample_z_entry,
     gibbs_sweep,
     log_prior_Z_ibp,
     marginal_on_prob,
+)
+from hiddencauses.gibbs import (
+    MAX_NEW_CAUSES,
+    compact_state,
+    gibbs_sample_z_entry,
+    resample_all_y,
+    resample_y_row,
     sample_new_causes,
 )
-from hiddencauses.gibbs import MAX_NEW_CAUSES, resample_all_y, resample_y_row
 from hiddencauses.model import log_pmf_noisy_or, log_pmf_table
 
 PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=1.0)
@@ -39,7 +44,7 @@ class TestZEntryConditional:
         state = _two_cause_state()
         rng = np.random.default_rng(seed)
         hits = sum(gibbs_sample_z_entry(state, 0, 0, X, rng) for _ in range(n_draws))
-        state.check_consistency()
+        check_consistency(state)
         return hits / n_draws
 
     def test_frequency_matches_posterior_positive_evidence(self):
@@ -85,7 +90,7 @@ class TestYEntryConditional:
         X = np.array([[x_val]], dtype=np.int8)
         rng = np.random.default_rng(seed)
         hits = sum(gibbs_sample_y_entry(state, 0, 0, X, rng) for _ in range(n_draws))
-        state.check_consistency()
+        check_consistency(state)
         return hits / n_draws
 
     def test_frequency_matches_posterior_x_on(self):
@@ -125,15 +130,15 @@ class TestRowResampleEquivalence:
         Y = (rng_setup.random((2, 7)) < 0.4).astype(np.int8)
         X = (rng_setup.random((4, 7)) < 0.5).astype(np.int8)
         a = SamplerState.from_matrices(Z, Y, PARAMS)
-        b = a.copy()
+        b = copy.deepcopy(a)
         resample_y_row(a, 0, X, np.random.default_rng(7))
         rng_b = np.random.default_rng(7)
         for t in range(7):
             gibbs_sample_y_entry(b, 0, t, X, rng_b)
         np.testing.assert_array_equal(a.Y, b.Y)
         np.testing.assert_array_equal(a.counts, b.counts)
-        a.check_consistency()
-        b.check_consistency()
+        check_consistency(a)
+        check_consistency(b)
 
 
 class TestMarginalOnProb:
@@ -215,7 +220,7 @@ class TestSampleNewCauses:
             if k_new:
                 np.testing.assert_array_equal(state.Z[0], np.zeros(k_new))
                 np.testing.assert_array_equal(state.Z[1], np.ones(k_new))
-            state.check_consistency()
+            check_consistency(state)
 
     def test_degenerate_parameters_raise(self):
         """eps = lam = 0 leaves an observed 1 with no possible explanation."""
@@ -235,7 +240,7 @@ class TestCompaction:
         compact_state(state)
         np.testing.assert_array_equal(state.Z, [[1, 0], [0, 1]])
         np.testing.assert_array_equal(state.Y, [[1, 0], [0, 1]])
-        state.check_consistency()
+        check_consistency(state)
 
     def test_noop_when_all_columns_linked(self):
         Z = np.array([[1], [1]], dtype=np.int8)
@@ -256,7 +261,7 @@ class TestGibbsSweep:
         )
         for _ in range(30):
             gibbs_sweep(state, X, rng)
-            state.check_consistency()
+            check_consistency(state)
             assert (state.column_sums > 0).all()  # compacted
 
     def test_deterministic_given_seed(self):
@@ -323,4 +328,4 @@ class TestGibbsSweep:
         X = np.ones((2, 4), dtype=np.int8)
         state = SamplerState.from_matrices(Z, Y, PARAMS)
         resample_all_y(state, X, rng)
-        state.check_consistency()
+        check_consistency(state)

@@ -6,22 +6,25 @@ import numpy as np
 import pytest
 
 from hiddencauses import (
-    GroundTruth,
     ModelParams,
-    PosteriorSummary,
-    RejectionError,
     SamplerState,
-    SummaryAccumulator,
     UniformK,
-    canonical_structure,
     exact_kplus_mixture,
     exact_posterior_oracle,
     generate_dataset,
+)
+from hiddencauses.harness import (
+    CANONICAL_STRUCTURES,
+    GroundTruth,
+    PosteriorSummary,
+    RejectionError,
+    SummaryAccumulator,
+    canonical_structure,
+    encode_state,
     in_degree_error,
     rejection_sample_Z,
     structure_error,
 )
-from hiddencauses.harness import CANONICAL_STRUCTURES, encode_state
 
 PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=3.0)
 

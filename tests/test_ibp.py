@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 from hiddencauses import harmonic_number, log_prior_Z_ibp, sample_ibp
+from hiddencauses.ibp import _poisson_draw
 
 
 class TestHarmonicNumber:
@@ -47,6 +48,24 @@ class TestSampleIbp:
         draws = [sample_ibp(4, 2.0, rng).shape[1] for _ in range(4000)]
         target = 2.0 * harmonic_number(4)
         assert abs(np.mean(draws) - target) < 0.15
+
+    def test_alpha_beyond_sequential_draw_refused(self):
+        """At mean 800, exp(-mean) underflows and the sequential Poisson
+        search would run to its step cap and return a wrong count."""
+        with pytest.raises(ValueError, match="Poisson mean 800"):
+            sample_ibp(6, 800.0, np.random.default_rng(0))
+        assert _poisson_draw(700.0, np.random.default_rng(0)) > 0  # still normal
+
+    def test_stalled_poisson_search_refused(self):
+        """At mean 10 the summed pmf stops just below 1, so a uniform of 1
+        never meets it: the search raises instead of returning its cap."""
+
+        class Ones:
+            def random(self):
+                return 1.0
+
+        with pytest.raises(ValueError, match="did not end"):
+            _poisson_draw(10.0, Ones())
 
 
 class TestLogPriorZIbp:

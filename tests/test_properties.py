@@ -12,26 +12,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln, xlogy
 
-from hiddencauses import (
-    FiniteState,
-    ModelParams,
-    birth_acceptance,
+from helpers import check_consistency
+from hiddencauses import FiniteState, ModelParams, log_prior_Z_ibp, marginal_on_prob
+from hiddencauses import gibbs
+from hiddencauses.gibbs import (
+    MAX_NEW_CAUSES,
     compact_state,
-    death_acceptance,
-    finite_conditional_z,
     gibbs_sample_z_entry,
-    log_prior_Z_ibp,
-    marginal_on_prob,
+    resample_y_row,
     sample_new_causes,
 )
-from hiddencauses import gibbs
-from hiddencauses.gibbs import MAX_NEW_CAUSES, resample_y_row
 from hiddencauses.model import (
     log_likelihood_from_counts,
     log_pmf_noisy_or,
     log_pmf_table,
     shared_log_pmf_table,
 )
+from hiddencauses.rjmcmc import birth_acceptance, death_acceptance, finite_conditional_z
 
 C_MAX = 130
 
@@ -106,7 +103,7 @@ class TestCachesUnderMoves:
                 birth_acceptance(state, (rng.random(t) < params.p).astype(np.int8), rng)
             elif move == "death" and state.column_sums[k] == 0:
                 death_acceptance(state, k, rng)
-            state.check_consistency()
+            check_consistency(state)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,23 @@
 """Unit tests for the finite-dimension sampler and its birth/death moves."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from hiddencauses import (
-    FiniteState,
+from helpers import check_consistency
+from hiddencauses import FiniteState, ModelParams, UniformK, finite_gibbs_sweep, rjmcmc_sweep
+from hiddencauses.rjmcmc import (
     GeometricK,
-    ModelParams,
     ShiftedPoissonK,
-    UniformK,
     birth_acceptance,
     death_acceptance,
     finite_conditional_z,
-    finite_gibbs_sweep,
+    finite_theta_bar,
     make_k_prior,
-    rjmcmc_sweep,
 )
-from hiddencauses.rjmcmc import finite_theta_bar
 
 PARAMS = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=1.0)
 
@@ -119,10 +117,10 @@ class TestFiniteThetaBar:
         state.column_sums[0] = 0
         z = finite_conditional_z(state, 0, 0, np.zeros((2, 2), dtype=np.int8), np.random.default_rng(0))
         assert z in (0, 1)
-        state.check_consistency()
+        check_consistency(state)
 
 
-def _linked_state(k_prior=None, n=3, k=2, t=4, seed=14):
+def _linked_state(k_prior=GeometricK(q=0.5), n=3, k=2, t=4, seed=14):
     rng = np.random.default_rng(seed)
     Z = (rng.random((n, k)) < 0.7).astype(np.int8)
     Z[0] = 1  # every column linked
@@ -138,7 +136,7 @@ class TestBirthDeathMoves:
         for trial in range(50):
             state = _linked_state(seed=100 + trial)
             proposed = (rng.random(state.n_trials) < PARAMS.p).astype(np.int8)
-            before = state.copy()
+            before = copy.deepcopy(state)
             prob_b, accepted = birth_acceptance(state, proposed, rng)
             if accepted:
                 post = state
@@ -149,7 +147,7 @@ class TestBirthDeathMoves:
                 )
                 post.column_sums = np.concatenate([post.column_sums, [0]])
                 post.Y = np.concatenate([post.Y, proposed[None, :]], axis=0)
-            prob_d, _ = death_acceptance(post.copy(), post.k - 1, rng)
+            prob_d, _ = death_acceptance(copy.deepcopy(post), post.k - 1, rng)
             assert 0.0 < prob_b <= 1.0
             assert 0.0 < prob_d <= 1.0
             assert max(prob_b, prob_d) > 1.0 - 1e-9
@@ -164,17 +162,17 @@ class TestBirthDeathMoves:
 
         state = _linked_state(k_prior=k_prior)
         state.Y[:] = [[1, 1, 1, 1], [0, 0, 0, 0]]  # no row matches: delta = 1
-        prob_plain, _ = birth_acceptance(state.copy(), proposed, np.random.default_rng(0))
+        prob_plain, _ = birth_acceptance(copy.deepcopy(state), proposed, np.random.default_rng(0))
         prob_dup, _ = birth_acceptance(
-            state.copy(), proposed, np.random.default_rng(0), duplicate_row_factor=True
+            copy.deepcopy(state), proposed, np.random.default_rng(0), duplicate_row_factor=True
         )
         assert prob_plain < 1.0 and prob_dup < 1.0
         np.testing.assert_allclose(prob_dup / prob_plain, 1.0 / (state.k + 1), rtol=1e-10)
 
         state.Y[:] = [proposed, proposed]  # every row matches: delta = K + 1
-        prob_plain, _ = birth_acceptance(state.copy(), proposed, np.random.default_rng(0))
+        prob_plain, _ = birth_acceptance(copy.deepcopy(state), proposed, np.random.default_rng(0))
         prob_dup, _ = birth_acceptance(
-            state.copy(), proposed, np.random.default_rng(0), duplicate_row_factor=True
+            copy.deepcopy(state), proposed, np.random.default_rng(0), duplicate_row_factor=True
         )
         np.testing.assert_allclose(prob_dup, prob_plain, rtol=1e-10)
 
@@ -185,7 +183,7 @@ class TestBirthDeathMoves:
         prob, accepted = birth_acceptance(state, proposed, np.random.default_rng(16))
         assert not accepted
         np.testing.assert_array_equal(state.Z, Z_before)
-        state.check_consistency()
+        check_consistency(state)
 
     def test_accepted_birth_appends_unlinked_column(self):
         state = _linked_state(k_prior=ShiftedPoissonK(mean=20.0))  # r > 1: accept
@@ -196,7 +194,7 @@ class TestBirthDeathMoves:
         assert state.column_sums[-1] == 0
         np.testing.assert_array_equal(state.Y[-1], proposed)
         np.testing.assert_array_equal(state.counts, counts_before)
-        state.check_consistency()
+        check_consistency(state)
 
     def test_accepted_death_removes_column(self):
         state = _linked_state(k_prior=GeometricK(q=0.95))
@@ -207,7 +205,7 @@ class TestBirthDeathMoves:
         prob, accepted = death_acceptance(state, k_before - 1, np.random.default_rng(18))
         assert accepted  # growth-averse prior makes shrinking near-certain
         assert state.k == k_before - 1
-        state.check_consistency()
+        check_consistency(state)
 
     def test_death_rejected_at_k_one(self):
         state = FiniteState.from_matrices(
@@ -244,7 +242,7 @@ class TestSweeps:
         for _ in range(25):
             finite_gibbs_sweep(state, X, rng)
             assert state.k == 2
-            state.check_consistency()
+            check_consistency(state)
 
     def test_rjmcmc_sweep_respects_uniform_cap(self):
         """Births past the cap carry -inf prior mass and never accept."""
@@ -259,7 +257,7 @@ class TestSweeps:
         for _ in range(200):
             rjmcmc_sweep(state, X, rng)
             assert 1 <= state.k <= 3
-            state.check_consistency()
+            check_consistency(state)
 
     def test_rjmcmc_sweep_deterministic(self):
         X = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8)

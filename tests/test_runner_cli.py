@@ -5,20 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from helpers import check_consistency
 from hiddencauses import (
-    Dataset,
     FiniteState,
     ModelParams,
     SamplerState,
     UniformK,
-    default_k_prior,
-    initial_state,
+    file_digest,
     read_trace,
     run_chain,
     write_dataset_bundle,
 )
 from hiddencauses import experiments
-from hiddencauses.dataio import file_digest
+from hiddencauses.harness import Dataset
+from hiddencauses.runner import default_k_prior, initial_state
 from hiddencauses.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
 
 PARAMS = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=1.0)
@@ -54,7 +54,13 @@ class TestInitialState:
             assert state.k == 10
             assert state.kplus == 10  # every column got at least one link
             assert set(np.unique(state.Z)) <= {0, 1}
-            state.check_consistency()
+            check_consistency(state)
+
+    def test_rjmcmc_default_k_prior(self):
+        """Without a prior over K, the finite sampler's is centered on the
+        unbounded model's mean dimension."""
+        state = initial_state(X_SMALL, "rjmcmc", "empty", PARAMS, np.random.default_rng(0))
+        assert state.k_prior == default_k_prior(PARAMS.alpha, X_SMALL.shape[0])
 
     def test_k_prior_passed_through(self):
         prior = UniformK(4)
@@ -202,7 +208,7 @@ class TestCliGenerate:
              "--t", "10", "--seed", "1"]
         )
         assert code == EXIT_OK
-        from hiddencauses import read_dataset_bundle
+        from hiddencauses.dataio import read_dataset_bundle
 
         data = read_dataset_bundle(bundle)
         assert data.X.shape == (4, 10)
@@ -217,6 +223,14 @@ class TestCliGenerate:
 
     def test_missing_size_flags(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "d"), "--n", "4"]) == EXIT_USAGE
+
+    def test_alpha_beyond_poisson_draw_is_data_error(self, tmp_path, capsys):
+        """The first prior draw refuses alpha = 800, so the rejection loop
+        stops at once instead of spending its budget on wrong draws."""
+        code = main(["generate", "--out", str(tmp_path / "d"), "--alpha", "800",
+                     "--n", "6", "--k-target", "3", "--t", "10"])
+        assert code == EXIT_DATA
+        assert "Poisson mean 800" in capsys.readouterr().err
 
 
 class TestCliFit:
@@ -292,6 +306,38 @@ class TestCliFit:
             ["fit", "--data", str(bundle), "--out", str(tmp_path / "o"), "--config", str(cfg)]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("setting, named", [
+        ('"iterations": 2.5', "iterations: invalid int value 2.5"),
+        ('"infer_hypers": "false"', "infer_hypers must be true or false"),
+        ('"sampler": "vb"', "sampler: invalid choice 'vb'"),
+    ])
+    def test_config_value_refused_by_its_flag(self, tmp_path, capsys, setting, named):
+        """Each config value passes its flag's own type and choices; a switch
+        takes only a JSON boolean.  The message names the key."""
+        bundle = _generate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{" + setting + "}")
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(bundle), "--out", str(out), "--config", str(cfg)])
+        assert code == EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_parsed_as_flags(self, tmp_path):
+        bundle = _generate(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"iterations": "4", "epsilon": 0, "infer_hypers": false, '
+                       '"prior_k_mean": null, "sampler": "rjmcmc"}')
+        out = tmp_path / "o"
+        code = main(["fit", "--data", str(bundle), "--out", str(out), "--config", str(cfg)])
+        assert code == EXIT_OK
+        merged = json.loads((out / "summary.json").read_text())["config"]
+        assert merged["iterations"] == 4
+        assert merged["epsilon"] == 0.0 and isinstance(merged["epsilon"], float)
+        assert merged["infer_hypers"] is False
+        assert merged["prior_k_mean"] is None
+        assert merged["sampler"] == "rjmcmc"
 
     def test_rjmcmc_uniform_prior_flags(self, tmp_path):
         bundle = _generate(tmp_path)
