@@ -13,6 +13,7 @@ feasible state).
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from .harness import (
 )
 from .model import DegenerateModelError, ModelParams
 from .rjmcmc import make_k_prior
-from .runner import INITS, SAMPLERS, run_chain
+from .runner import INITS, RANDOM_INIT_K, SAMPLERS, run_chain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,15 +47,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: the text parsed by `kind`, refused unless `ok`."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the kind in its own errors
+    return parse
+
+
+_nonneg_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_pos_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_pos_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_nonneg_float = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_open_unit = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_unit = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_leak = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
+
+
+def _one_of(allowed):
+    return _checked(str, lambda v: v in allowed, f"one of {', '.join(sorted(allowed))}")
+
+
+def _list_of(item):
+    """An argparse type: a non-empty comma-separated list, each entry parsed by `item`."""
+    def parse(text):
+        values = [item(v.strip()) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"{text!r} lists nothing")
+        return values
+    parse.__name__ = "list"
+    return parse
+
+
 def _params(args) -> ModelParams:
     return ModelParams(epsilon=args.epsilon, lam=args.lam, p=args.p, alpha=args.alpha)
 
 
 def _add_param_flags(parser):
-    parser.add_argument("--epsilon", type=float, default=0.01, help="leak probability")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.9, help="transmission probability")
-    parser.add_argument("--p", type=float, default=0.1, help="activation probability")
-    parser.add_argument("--alpha", type=float, default=3.0, help="structure intensity")
+    parser.add_argument("--epsilon", type=_leak, default=0.01, help="leak probability")
+    parser.add_argument("--lambda", dest="lam", type=_unit, default=0.9, help="transmission probability")
+    parser.add_argument("--p", type=_unit, default=0.1, help="activation probability")
+    parser.add_argument("--alpha", type=_pos_float, default=3.0, help="structure intensity")
 
 
 def build_parser(config=None) -> _Parser:
@@ -66,11 +102,11 @@ def build_parser(config=None) -> _Parser:
     g = sub.add_parser("generate", help="sample a synthetic dataset")
     g.add_argument("--out", required=True, help="bundle directory to write")
     g.add_argument("--structure", choices=sorted(CANONICAL_STRUCTURES), help="fixed graph")
-    g.add_argument("--n", type=int, help="observations (with --k-target)")
-    g.add_argument("--k-target", type=int, help="true number of causes (with --n)")
-    g.add_argument("--t", type=int, default=500, help="trials")
+    g.add_argument("--n", type=_pos_int, help="observations (with --k-target)")
+    g.add_argument("--k-target", type=_nonneg_int, help="true number of causes (with --n)")
+    g.add_argument("--t", type=_pos_int, default=500, help="trials")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--max-tries", type=int, default=100_000, help="rejection budget")
+    g.add_argument("--max-tries", type=_pos_int, default=100_000, help="rejection budget")
     _add_param_flags(g)
 
     f = sub.add_parser("fit", help="run one sampler chain")
@@ -78,19 +114,20 @@ def build_parser(config=None) -> _Parser:
     f.add_argument("--out", required=True, help="output directory")
     f.add_argument("--config", help="JSON file of flag defaults")
     f.add_argument("--sampler", choices=SAMPLERS, default="gibbs")
-    f.add_argument("--iterations", type=int, default=500)
+    f.add_argument("--iterations", type=_nonneg_int, default=500)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--init", choices=INITS, default="empty")
     f.add_argument("--infer-hypers", action="store_true",
                    help="resample lambda, epsilon, p (and alpha under gibbs) each sweep")
-    f.add_argument("--mh-step", type=float, default=0.05, help="random-walk half-width")
-    f.add_argument("--burn-in", type=int, default=0, help="iterations excluded from summaries")
+    f.add_argument("--mh-step", type=_pos_float, default=0.05, help="random-walk half-width")
+    f.add_argument("--burn-in", type=_nonneg_int, default=0,
+                   help="iterations excluded from summaries")
     f.add_argument("--prior-k", choices=("poisson", "geometric", "uniform"), default="poisson",
                    help="prior over K (rjmcmc only)")
-    f.add_argument("--prior-k-mean", type=float, default=None,
+    f.add_argument("--prior-k-mean", type=_nonneg_float, default=None,
                    help="mean of the shifted-Poisson K prior (default alpha * H_N)")
-    f.add_argument("--prior-k-q", type=float, default=0.5, help="geometric K prior parameter")
-    f.add_argument("--k-max", type=int, default=50, help="uniform K prior cap")
+    f.add_argument("--prior-k-q", type=_open_unit, default=0.5, help="geometric K prior parameter")
+    f.add_argument("--k-max", type=_pos_int, default=50, help="uniform K prior cap")
     f.add_argument("--plain-theta-denominator", action="store_true",
                    help="divide the finite z conditional by N instead of N + alpha/K")
     f.add_argument("--duplicate-row-factor", action="store_true",
@@ -110,21 +147,24 @@ def build_parser(config=None) -> _Parser:
     r.add_argument("figure", choices=("fig3", "fig4"),
                    help="fig3: dimension recovery; fig4: structure recovery")
     r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--datasets", type=int, default=10, help="datasets per condition")
-    r.add_argument("--iterations", type=int, default=500)
+    r.add_argument("--datasets", type=_pos_int, default=10, help="datasets per condition")
+    r.add_argument("--iterations", type=_nonneg_int, default=500)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (>= 1; at most one per run and per core)")
-    r.add_argument("--n", type=int, default=6, help="observations (fig3)")
-    r.add_argument("--t", type=int, default=None,
+    r.add_argument("--jobs", type=_pos_int, default=1,
+                   help="parallel worker processes (at most one per run and per core)")
+    r.add_argument("--n", type=_pos_int, default=6, help="observations (fig3)")
+    r.add_argument("--t", type=_pos_int, default=None,
                    help="trials (default 500 for fig3, 150 for fig4)")
-    r.add_argument("--k-range", default="1,2,3,4", help="true dimensions (fig3)")
-    r.add_argument("--structures", default=",".join(sorted(CANONICAL_STRUCTURES)),
+    r.add_argument("--k-range", type=_list_of(_nonneg_int), default="1,2,3,4",
+                   help="true dimensions (fig3)")
+    r.add_argument("--structures", type=_list_of(_one_of(CANONICAL_STRUCTURES)),
+                   default=",".join(sorted(CANONICAL_STRUCTURES)),
                    help="comma-separated structure names (fig4)")
-    r.add_argument("--samplers", default="gibbs,rjmcmc")
-    r.add_argument("--inits", default=None,
+    r.add_argument("--samplers", type=_list_of(_one_of(SAMPLERS)), default="gibbs,rjmcmc")
+    r.add_argument("--inits", type=_list_of(_one_of(INITS)), default=None,
                    help="default: empty,random10 for fig3; empty for fig4")
-    r.add_argument("--checkpoints", default=",".join(str(c) for c in experiments.DEFAULT_CHECKPOINTS),
+    r.add_argument("--checkpoints", type=_list_of(_pos_int),
+                   default=",".join(str(c) for c in experiments.DEFAULT_CHECKPOINTS),
                    help="iterations at which fig4 errors are reported")
     _add_param_flags(r)
     return parser
@@ -190,6 +230,8 @@ def _load_config(path, actions) -> dict:
             text = str(value)
             try:
                 value = action.type(text) if action.type else text
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
             except ValueError:
                 raise ValueError(
                     f"{path}: {key}: invalid {action.type.__name__} value {value!r}") from None
@@ -201,15 +243,18 @@ def _load_config(path, actions) -> dict:
 
 
 def cmd_fit(args) -> int:
-    X = dataio.load_observations(args.data)
     params = _params(args)
     k_prior = None  # None: the chain's default prior over K
     if args.sampler == "rjmcmc" and (args.prior_k != "poisson" or args.prior_k_mean is not None):
         k_prior = make_k_prior(args.prior_k, mean=args.prior_k_mean, q=args.prior_k_q,
                                k_max=args.k_max)
+        start_k = RANDOM_INIT_K if args.init == "random10" else 1
+        if k_prior.log_pmf(start_k) == -math.inf:
+            raise UsageError(f"--init {args.init} starts at K = {start_k}, "
+                             f"which the K prior gives zero mass")
 
     result = run_chain(
-        X,
+        dataio.load_observations(args.data),
         sampler=args.sampler,
         iterations=args.iterations,
         params=params,
@@ -289,44 +334,25 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise UsageError(f"bad {what}: {text!r}") from None
-
-
-def _names(text: str, flag: str, allowed) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in text.split(",") if s.strip())
-    unknown = sorted(set(names) - set(allowed))
-    if unknown:
-        raise UsageError(f"{flag}: unknown {', '.join(unknown)} "
-                         f"(choose from {', '.join(sorted(allowed))})")
-    return names
-
-
 def cmd_replicate(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    # every argument is checked before --out is created
-    study = dict(master_seed=args.seed, samplers=_names(args.samplers, "--samplers", SAMPLERS),
+    study = dict(master_seed=args.seed, samplers=args.samplers,
                  datasets_per_condition=args.datasets, iterations=args.iterations,
                  params=_params(args), jobs=args.jobs)
     if args.figure == "fig3":
         run_type, experiment = experiments.DimensionRun, experiments.dimension_recovery_experiment
         study.update(
-            k_values=_parse_int_list(args.k_range, "--k-range"),
-            inits=_names(args.inits or "empty,random10", "--inits", INITS),
+            k_values=args.k_range,
+            inits=args.inits or ["empty", "random10"],
             n_rows=args.n,
             n_trials=args.t if args.t is not None else 500,
         )
     else:
         run_type, experiment = experiments.StructureRun, experiments.structure_recovery_experiment
         study.update(
-            structures=_names(args.structures, "--structures", CANONICAL_STRUCTURES),
-            inits=_names(args.inits or "empty", "--inits", INITS),
+            structures=args.structures,
+            inits=args.inits or ["empty"],
             n_trials=args.t if args.t is not None else 150,
-            checkpoints=_parse_int_list(args.checkpoints, "--checkpoints"),
+            checkpoints=args.checkpoints,
         )
     out = dataio.ensure_dir(args.out)
     runs = experiment(**study)

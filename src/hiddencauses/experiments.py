@@ -113,7 +113,7 @@ class DimensionRun(_Run):
     dataset_index: int
     sampler: str
     init: str
-    mean_dimension: float = float("nan")  # E[K+] for gibbs, E[K] for rjmcmc
+    mean_dimension: float = float("nan")  # E[K]; gibbs compacts, so E[K] = E[K+]
     mean_kplus: float = float("nan")
     error: str | None = None
 
@@ -133,7 +133,7 @@ class DimensionRun(_Run):
 
     def score(self, result, data: Dataset) -> None:
         summary = result.summary
-        self.mean_dimension = summary.mean_kplus if self.sampler == "gibbs" else summary.mean_k
+        self.mean_dimension = summary.mean_k
         self.mean_kplus = summary.mean_kplus
 
     @staticmethod

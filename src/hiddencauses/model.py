@@ -257,7 +257,7 @@ class SamplerState:
     @classmethod
     def from_matrices(cls, Z, Y, params: ModelParams, **fields) -> "SamplerState":
         """Validate Z and Y and build the state; fields set a subclass's
-        extra fields (a finite state's ``k_prior``)."""
+        extra fields (a finite state's ``k_prior`` and its variants)."""
         Z = as_binary_matrix(Z, "Z")
         Y = as_binary_matrix(Y, "Y")
         if Z.shape[1] != Y.shape[0]:

@@ -26,8 +26,8 @@ the death ratio by K / delta, with delta counting rows of Y identical to
 the proposed (or deleted) activation row, that row included.  The two
 variants have reciprocal log-ratios either way, but only the default
 holds the joint posterior invariant (the variant's chain visibly tilts
-toward small K on enumerable instances).  Pass duplicate_row_factor=True
-to get the variant.
+toward small K on enumerable instances).  A state built with
+duplicate_row_factor=True takes the variant.
 """
 
 import math
@@ -99,10 +99,14 @@ def make_k_prior(name: str, *, mean: float = 1.0, q: float = 0.5, k_max: int = 5
 
 @dataclass
 class FiniteState(SamplerState):
-    """Sampler state carrying an explicit dimension K = Z.shape[1] >= 1
-    and a prior over K.  Zero columns of Z are kept, not compacted."""
+    """Sampler state with an explicit dimension K = Z.shape[1] >= 1, a
+    prior over K and the sampler's variants: ``predictive`` (see
+    ``finite_theta_bar``) and ``duplicate_row_factor`` (see the module
+    docstring).  Zero columns of Z are kept, not compacted."""
 
     k_prior: object = field(default_factory=lambda: GeometricK(q=0.5))
+    predictive: bool = True
+    duplicate_row_factor: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -131,15 +135,12 @@ def _accept(log_ratio: float, rng: np.random.Generator) -> tuple[float, bool]:
 
 
 def birth_acceptance(
-    state: FiniteState,
-    proposed_y_row,
-    rng: np.random.Generator,
-    duplicate_row_factor: bool = False,
+    state: FiniteState, proposed_y_row, rng: np.random.Generator
 ) -> tuple[float, bool]:
     """Propose growing K by one: an all-zero Z column plus the given Y row.
 
     Applies the move on acceptance and returns (acceptance prob, accepted).
-    duplicate_row_factor=True multiplies the ratio by delta / (K+1) with
+    The state's duplicate_row_factor multiplies the ratio by delta / (K+1),
     delta the number of identical activation rows (see module docstring).
     """
     proposed = np.asarray(proposed_y_row, dtype=np.int8)
@@ -158,7 +159,7 @@ def birth_acceptance(
         - _log_prior_z(state, state.column_sums, k)
         - state.k_prior.log_pmf(k)
     )
-    if duplicate_row_factor:
+    if state.duplicate_row_factor:
         delta = _matching_rows(state.Y, proposed) + 1  # the new row matches itself
         log_ratio += math.log(delta) - math.log(k + 1)
     prob, accepted = _accept(log_ratio, rng)
@@ -171,15 +172,13 @@ def birth_acceptance(
     return prob, accepted
 
 
-def death_acceptance(
-    state: FiniteState, k: int, rng: np.random.Generator, duplicate_row_factor: bool = False
-) -> tuple[float, bool]:
+def death_acceptance(state: FiniteState, k: int, rng: np.random.Generator) -> tuple[float, bool]:
     """Propose deleting unlinked column k (and its activation row).
 
     Auto-rejects at K = 1 and when no linked columns remain.  Applies the
-    move on acceptance and returns (acceptance prob, accepted).
-    duplicate_row_factor=True multiplies the ratio by K / delta with
-    delta the number of identical activation rows (see module docstring).
+    move on acceptance and returns (acceptance prob, accepted).  The state's
+    duplicate_row_factor multiplies the ratio by K / delta with delta the
+    number of identical activation rows (see module docstring).
     """
     if state.column_sums[k] != 0:
         raise ValueError("death requires an unlinked column")
@@ -198,7 +197,7 @@ def death_acceptance(
         - _log_prior_z(state, state.column_sums, kk)
         - state.k_prior.log_pmf(kk)
     )
-    if duplicate_row_factor:
+    if state.duplicate_row_factor:
         delta = _matching_rows(state.Y, state.Y[k])  # includes row k itself
         log_ratio += math.log(kk) - math.log(delta)
     prob, accepted = _accept(log_ratio, rng)
@@ -230,35 +229,25 @@ def finite_theta_bar(
     return min(1.0, (m_minus + ak) / n_rows)
 
 
-def finite_conditional_z(
-    state: FiniteState, i: int, k: int, X, rng: np.random.Generator, predictive: bool = True
-) -> int:
+def finite_conditional_z(state: FiniteState, i: int, k: int, X, rng: np.random.Generator) -> int:
     """Resample z[i, k] under the finite prior (valid for m_minus = 0)."""
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     theta_bar = finite_theta_bar(
-        m_minus, state.n_rows, state.k, state.params.alpha, predictive
+        m_minus, state.n_rows, state.k, state.params.alpha, state.predictive
     )
     return _sample_z_given_theta(state, i, k, X, rng, theta_bar)
 
 
-def finite_gibbs_sweep(
-    state: FiniteState, X, rng: np.random.Generator, predictive: bool = True
-) -> FiniteState:
+def finite_gibbs_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:
     """One fixed-dimension sweep: every z entry, then every activation row."""
     for i in range(state.n_rows):
         for k in range(state.k):
-            finite_conditional_z(state, i, k, X, rng, predictive)
+            finite_conditional_z(state, i, k, X, rng)
     resample_all_y(state, X, rng)
     return state
 
 
-def rjmcmc_sweep(
-    state: FiniteState,
-    X,
-    rng: np.random.Generator,
-    predictive: bool = True,
-    duplicate_row_factor: bool = False,
-) -> FiniteState:
+def rjmcmc_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:
     """One full sweep.  Per row: one dimension move on a uniformly chosen
     column (birth if it is linked, death if not), a Gibbs pass over the
     row's Z entries, and a resample of all of Y."""
@@ -267,10 +256,10 @@ def rjmcmc_sweep(
         k_pick = int(rng.integers(state.k))
         if state.column_sums[k_pick] > 0:
             proposed = (rng.random(state.n_trials) < params.p).astype(np.int8)
-            birth_acceptance(state, proposed, rng, duplicate_row_factor)
+            birth_acceptance(state, proposed, rng)
         else:
-            death_acceptance(state, k_pick, rng, duplicate_row_factor)
+            death_acceptance(state, k_pick, rng)
         for k in range(state.k):
-            finite_conditional_z(state, i, k, X, rng, predictive)
+            finite_conditional_z(state, i, k, X, rng)
         resample_all_y(state, X, rng)
     return state

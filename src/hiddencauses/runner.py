@@ -1,6 +1,7 @@
 """Chain orchestration: initialization, sweep loop, hyperparameter
 schedule, trace records, and posterior summaries."""
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,18 +38,10 @@ class TraceRecord:
     wall_ms: float | None = None
 
     def to_dict(self) -> dict:
-        rec = {
-            "iteration": self.iteration,
-            "kplus": self.kplus,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "lambda": self.lam,
-            "p": self.p,
-            "alpha": self.alpha,
-            "log_joint": self.log_joint,
-        }
-        if self.wall_ms is not None:
-            rec["wall_ms"] = self.wall_ms
+        """The fields in order, lam keyed as "lambda"; wall_ms only when set."""
+        rec = {("lambda" if name == "lam" else name): v for name, v in vars(self).items()}
+        if self.wall_ms is None:
+            del rec["wall_ms"]
         return rec
 
 
@@ -69,8 +62,10 @@ def initial_state(
     params: ModelParams,
     rng: np.random.Generator,
     k_prior=None,
+    predictive: bool = True,
+    duplicate_row_factor: bool = False,
 ) -> SamplerState:
-    """Build the starting state.
+    """Build the starting state; the sampler name picks its class.
 
     empty: no structure. The unbounded sampler starts with zero columns;
     the finite sampler needs K >= 1 and starts with one unlinked column
@@ -80,7 +75,8 @@ def initial_state(
     any all-zero Z column gets a single 1 at a random row so every
     column is linked.
 
-    The finite sampler's prior over K defaults to ``default_k_prior``.
+    The finite sampler's prior over K defaults to ``default_k_prior``, and
+    a start K outside its support raises ValueError.
     """
     X = np.asarray(X)
     n, t = X.shape
@@ -88,26 +84,25 @@ def initial_state(
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if init not in INITS:
         raise ValueError(f"init must be one of {INITS}, got {init!r}")
+    gibbs = sampler == "gibbs"
     if init == "empty":
-        if sampler == "gibbs":
-            return SamplerState(
-                Z=np.zeros((n, 0), dtype=np.int8),
-                Y=np.zeros((0, t), dtype=np.int8),
-                params=params,
-            )
-        Z = np.zeros((n, 1), dtype=np.int8)
-        Y = np.zeros((1, t), dtype=np.int8)
+        k0 = 0 if gibbs else 1
+        Z = np.zeros((n, k0), dtype=np.int8)
+        Y = np.zeros((k0, t), dtype=np.int8)
     else:
         k0 = RANDOM_INIT_K
         Z = (rng.random((n, k0)) < 0.5).astype(np.int8)
         Y = (rng.random((k0, t)) < 0.5).astype(np.int8)
         for col in np.flatnonzero(Z.sum(axis=0) == 0):
             Z[int(rng.integers(n)), col] = 1
-    if sampler == "gibbs":
+    if gibbs:
         return SamplerState(Z=Z, Y=Y, params=params)
     if k_prior is None:
         k_prior = default_k_prior(params.alpha, n)
-    return FiniteState(Z=Z, Y=Y, params=params, k_prior=k_prior)
+    if k_prior.log_pmf(k0) == -math.inf:
+        raise ValueError(f"the {init} start K = {k0} has zero mass under {k_prior}")
+    return FiniteState(Z=Z, Y=Y, params=params, k_prior=k_prior, predictive=predictive,
+                       duplicate_row_factor=duplicate_row_factor)
 
 
 def default_k_prior(alpha: float, n_rows: int) -> ShiftedPoissonK:
@@ -115,20 +110,33 @@ def default_k_prior(alpha: float, n_rows: int) -> ShiftedPoissonK:
     return ShiftedPoissonK(mean=alpha * harmonic_number(n_rows))
 
 
-def _trace_record(iteration, state, X, sampler, wall_ms=None) -> TraceRecord:
-    prior = "ibp" if sampler == "gibbs" else "finite"
-    lj = log_joint(X, state.Z, state.Y, state.params, prior=prior)
-    return TraceRecord(
-        iteration=iteration,
-        kplus=state.kplus,
-        k=state.k,
-        epsilon=state.params.epsilon,
-        lam=state.params.lam,
-        p=state.params.p,
-        alpha=state.params.alpha,
-        log_joint=lj,
-        wall_ms=wall_ms,
-    )
+def _trace_record(iteration, state, X, wall_ms=None) -> TraceRecord:
+    prior = "finite" if isinstance(state, FiniteState) else "ibp"
+    params = state.params
+    lj = log_joint(X, state.Z, state.Y, params, prior=prior)
+    return TraceRecord(iteration=iteration, kplus=state.kplus, k=state.k,
+                       epsilon=params.epsilon, lam=params.lam, p=params.p,
+                       alpha=params.alpha, log_joint=lj, wall_ms=wall_ms)
+
+
+def step(
+    state: SamplerState, X, rng: np.random.Generator, infer_hypers: bool = False,
+    mh_step: float = 0.05,
+) -> tuple[bool, bool]:
+    """One iteration: an ``rjmcmc_sweep`` for a finite state, else a
+    ``gibbs_sweep``, then inferred hyperparameters in the order lam,
+    epsilon, p, alpha (the unbounded model's alpha only).  Returns whether
+    the lam and epsilon Metropolis moves were accepted."""
+    finite = isinstance(state, FiniteState)
+    (rjmcmc_sweep if finite else gibbs_sweep)(state, X, rng)
+    if not infer_hypers:
+        return False, False
+    _, lam_accepted = mh_step_rate("lam", state, X, rng, mh_step)
+    _, eps_accepted = mh_step_rate("epsilon", state, X, rng, mh_step)
+    state.params = state.params.replace(p=sample_p(state.Y, rng))
+    if not finite:
+        state.params = state.params.replace(alpha=sample_alpha(state.kplus, state.n_rows, rng))
+    return lam_accepted, eps_accepted
 
 
 def run_chain(
@@ -151,62 +159,38 @@ def run_chain(
 ) -> RunResult:
     """Run one chain and accumulate posterior summaries.
 
-    Iterations 1..iterations sweep the sampler; hyperparameters (when
-    inferred) update once per sweep after the Z/Y pass, in the order
-    lam, epsilon, p, alpha.  alpha's conjugate update belongs to the
-    unbounded model and is skipped under the finite sampler.  States from
-    iterations > burn_in enter the summary; with none eligible, the
-    summary falls back to the final state.
+    The chain is ``initial_state`` followed by ``iterations`` calls of
+    ``step``.  States from iterations > burn_in enter the summary; with
+    none eligible, the summary falls back to the final state.
     """
     X = as_binary_matrix(X, "X")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     if rng is None:
         rng = np.random.default_rng(seed)
-    state = initial_state(X, sampler, init, params, rng, k_prior=k_prior)
+    state = initial_state(X, sampler, init, params, rng, k_prior, predictive,
+                          duplicate_row_factor)
     acc = SummaryAccumulator(X.shape[0])
     snapshots: dict[int, PosteriorSummary] = {}
     snapshot_at = set(int(s) for s in snapshot_iterations)
-    mh_hits = {"lam": 0, "epsilon": 0}
+    lam_hits = eps_hits = 0
     start = time.perf_counter()
-    trace = [_trace_record(0, state, X, sampler)]
+    trace = [_trace_record(0, state, X)]
     for it in range(1, iterations + 1):
         tick = time.perf_counter()
-        if sampler == "gibbs":
-            gibbs_sweep(state, X, rng)
-        else:
-            rjmcmc_sweep(
-                state, X, rng, predictive=predictive, duplicate_row_factor=duplicate_row_factor
-            )
-        if infer_hypers:
-            _, acc_lam = mh_step_rate("lam", state, X, rng, mh_step)
-            _, acc_eps = mh_step_rate("epsilon", state, X, rng, mh_step)
-            mh_hits["lam"] += acc_lam
-            mh_hits["epsilon"] += acc_eps
-            new_p = sample_p(state.Y, rng)
-            state.params = state.params.replace(p=new_p)
-            if sampler == "gibbs":
-                new_alpha = sample_alpha(state.kplus, state.n_rows, rng)
-                state.params = state.params.replace(alpha=new_alpha)
+        lam_accepted, eps_accepted = step(state, X, rng, infer_hypers, mh_step)
+        lam_hits += lam_accepted
+        eps_hits += eps_accepted
         if it > burn_in:
             acc.add(state)
         wall = (time.perf_counter() - tick) * 1e3 if timing else None
-        trace.append(_trace_record(it, state, X, sampler, wall_ms=wall))
+        trace.append(_trace_record(it, state, X, wall_ms=wall))
         if it in snapshot_at and acc.count:
             snapshots[it] = acc.summary()
     if acc.count == 0:
         acc.add(state)
     elapsed = (time.perf_counter() - start) * 1e3
-    rates = (
-        {name: mh_hits[name] / iterations for name in mh_hits}
-        if infer_hypers and iterations
-        else {}
-    )
-    return RunResult(
-        trace=trace,
-        summary=acc.summary(),
-        snapshots=snapshots,
-        state=state,
-        mh_acceptance=rates,
-        elapsed_ms=elapsed,
-    )
+    rates = ({"lam": lam_hits / iterations, "epsilon": eps_hits / iterations}
+             if infer_hypers and iterations else {})
+    return RunResult(trace=trace, summary=acc.summary(), snapshots=snapshots, state=state,
+                     mh_acceptance=rates, elapsed_ms=elapsed)

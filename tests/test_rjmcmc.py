@@ -161,19 +161,21 @@ class TestBirthDeathMoves:
         proposed = np.array([1, 0, 1, 0], dtype=np.int8)
 
         state = _linked_state(k_prior=k_prior)
+
+        def birth_probs():
+            variant = copy.deepcopy(state)
+            variant.duplicate_row_factor = True
+            plain, _ = birth_acceptance(copy.deepcopy(state), proposed, np.random.default_rng(0))
+            dup, _ = birth_acceptance(variant, proposed, np.random.default_rng(0))
+            return plain, dup
+
         state.Y[:] = [[1, 1, 1, 1], [0, 0, 0, 0]]  # no row matches: delta = 1
-        prob_plain, _ = birth_acceptance(copy.deepcopy(state), proposed, np.random.default_rng(0))
-        prob_dup, _ = birth_acceptance(
-            copy.deepcopy(state), proposed, np.random.default_rng(0), duplicate_row_factor=True
-        )
+        prob_plain, prob_dup = birth_probs()
         assert prob_plain < 1.0 and prob_dup < 1.0
         np.testing.assert_allclose(prob_dup / prob_plain, 1.0 / (state.k + 1), rtol=1e-10)
 
         state.Y[:] = [proposed, proposed]  # every row matches: delta = K + 1
-        prob_plain, _ = birth_acceptance(copy.deepcopy(state), proposed, np.random.default_rng(0))
-        prob_dup, _ = birth_acceptance(
-            copy.deepcopy(state), proposed, np.random.default_rng(0), duplicate_row_factor=True
-        )
+        prob_plain, prob_dup = birth_probs()
         np.testing.assert_allclose(prob_dup, prob_plain, rtol=1e-10)
 
     def test_birth_mutates_only_on_accept(self):

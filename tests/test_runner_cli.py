@@ -18,7 +18,7 @@ from hiddencauses import (
 )
 from hiddencauses import experiments
 from hiddencauses.harness import Dataset
-from hiddencauses.runner import default_k_prior, initial_state
+from hiddencauses.runner import _trace_record, default_k_prior, initial_state, step
 from hiddencauses.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
 
 PARAMS = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=1.0)
@@ -68,6 +68,13 @@ class TestInitialState:
             X_SMALL, "rjmcmc", "empty", PARAMS, np.random.default_rng(0), k_prior=prior
         )
         assert state.k_prior is prior
+
+    def test_start_outside_k_prior_support_rejected(self):
+        """A chain that starts where P(K) = 0 would compute NaN ratios and
+        never move, so it is refused."""
+        with pytest.raises(ValueError, match="zero mass"):
+            initial_state(X_SMALL, "rjmcmc", "random10", PARAMS, np.random.default_rng(0),
+                          k_prior=UniformK(3))
 
     def test_unknown_sampler_or_init(self):
         rng = np.random.default_rng(0)
@@ -175,6 +182,52 @@ class TestRunChain:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations"):
             run_chain(X_SMALL, sampler="gibbs", iterations=-1, params=PARAMS, seed=0)
+
+
+X_STEP = (np.random.default_rng(21).random((5, 30)) < 0.3).astype(np.int8)
+
+
+class TestStep:
+    @pytest.mark.parametrize("sampler, init, variants", [
+        ("gibbs", "empty", {}),
+        ("gibbs", "random10", {}),
+        ("rjmcmc", "empty", {}),
+        ("rjmcmc", "random10", {"predictive": False, "duplicate_row_factor": True}),
+    ])
+    @pytest.mark.parametrize("infer_hypers", [False, True])
+    def test_run_chain_is_initial_state_plus_steps(self, sampler, init, variants, infer_hypers):
+        iterations = 12
+        result = run_chain(X_STEP, sampler=sampler, iterations=iterations, params=PARAMS, seed=4,
+                           init=init, infer_hypers=infer_hypers, mh_step=0.1, **variants)
+
+        rng = np.random.default_rng(4)
+        state = initial_state(X_STEP, sampler, init, PARAMS, rng, **variants)
+        trace = [_trace_record(0, state, X_STEP)]
+        hits = [0, 0]
+        for it in range(1, iterations + 1):
+            accepted = step(state, X_STEP, rng, infer_hypers=infer_hypers, mh_step=0.1)
+            hits = [h + a for h, a in zip(hits, accepted)]
+            trace.append(_trace_record(it, state, X_STEP))
+
+        assert [r.to_dict() for r in result.trace] == [r.to_dict() for r in trace]
+        np.testing.assert_array_equal(result.state.Z, state.Z)
+        np.testing.assert_array_equal(result.state.Y, state.Y)
+        assert result.state.params == state.params
+        expected = {"lam": hits[0] / iterations, "epsilon": hits[1] / iterations}
+        assert result.mh_acceptance == (expected if infer_hypers else {})
+
+    def test_finite_state_takes_its_variants_from_run_chain(self):
+        kwargs = dict(sampler="rjmcmc", iterations=20, params=PARAMS, seed=5, init="random10")
+        plain = run_chain(X_STEP, **kwargs)
+        variant = run_chain(X_STEP, predictive=False, duplicate_row_factor=True, **kwargs)
+        assert (plain.state.predictive, plain.state.duplicate_row_factor) == (True, False)
+        assert (variant.state.predictive, variant.state.duplicate_row_factor) == (False, True)
+        assert [r.to_dict() for r in plain.trace] != [r.to_dict() for r in variant.trace]
+
+    def test_gibbs_state_has_no_finite_variants(self):
+        state = initial_state(X_STEP, "gibbs", "random10", PARAMS, np.random.default_rng(0),
+                              predictive=False, duplicate_row_factor=True)
+        assert type(state) is SamplerState
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +403,24 @@ class TestCliFit:
         assert all(rec["k"] <= 3 for rec in read_trace(out / "trace.jsonl"))
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--prior-k", "uniform", "--k-max", "3", "--init", "random10"],
+        ["--prior-k", "uniform", "--k-max", "0"],
+        ["--prior-k", "geometric", "--prior-k-q", "1.5"],
+        ["--prior-k-mean", "-2"],
+    ], ids=["start-outside-uniform", "k-max-0", "q-above-1", "negative-mean"])
+    def test_k_prior_without_mass_at_start_is_usage_error(self, tmp_path, capsys, flags):
+        """Each of these once ran a chain that never moved, crashed with a
+        math domain error, or used a negative Poisson mean."""
+        bundle = _generate(tmp_path)
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(bundle), "--out", str(out), "--sampler", "rjmcmc",
+                "--iterations", "5", *flags]
+        assert main(argv) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliEval:
     def test_metrics_against_truth(self, tmp_path, capsys):
         bundle = _generate(tmp_path)
@@ -506,6 +577,40 @@ class TestCliReplicate:
 
 
 class TestCliParser:
+    @pytest.mark.parametrize("argv, flag", [
+        (["fit", "--iterations", "-1"], "--iterations"),
+        (["fit", "--burn-in", "-3"], "--burn-in"),
+        (["fit", "--infer-hypers", "--mh-step", "-1"], "--mh-step"),
+        (["fit", "--mh-step", "nan"], "--mh-step"),
+        (["fit", "--k-max", "0"], "--k-max"),
+        (["fit", "--prior-k-q", "1"], "--prior-k-q"),
+        (["fit", "--prior-k-mean", "-0.5"], "--prior-k-mean"),
+        (["generate", "--t", "0", "--n", "3", "--k-target", "2"], "--t"),
+        (["generate", "--n", "0", "--k-target", "2"], "--n"),
+        (["replicate", "fig3", "--iterations", "-2"], "--iterations"),
+        (["replicate", "fig3", "--datasets", "0"], "--datasets"),
+        (["replicate", "fig3", "--jobs", "-2"], "--jobs"),
+        (["replicate", "fig4", "--t", "0"], "--t"),
+        (["fit", "--epsilon", "1"], "--epsilon"),
+        (["generate", "--lambda", "1.5", "--structure", "degree1"], "--lambda"),
+        (["replicate", "fig3", "--p", "-0.1"], "--p"),
+        (["replicate", "fig4", "--alpha", "0"], "--alpha"),
+        (["replicate", "fig3", "--k-range=-1"], "--k-range"),
+        (["replicate", "fig3", "--k-range", ","], "--k-range"),
+        (["replicate", "fig4", "--checkpoints", "0,5"], "--checkpoints"),
+        (["replicate", "fig4", "--samplers", ""], "--samplers"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
+        """argparse refuses the value before any file is read (--data names
+        no file, which reading would report as a data error) and before
+        --out is created."""
+        out = tmp_path / "out"
+        command, *rest = argv
+        data = ["--data", str(tmp_path / "missing.csv")] if command == "fit" else []
+        assert main([command, *rest, *data, "--out", str(out)]) == EXIT_USAGE
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
