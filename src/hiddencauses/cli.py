@@ -164,8 +164,9 @@ def build_parser(config=None) -> _Parser:
     r.add_argument("--inits", type=_list_of(_one_of(INITS)), default=None,
                    help="default: empty,random10 for fig3; empty for fig4")
     r.add_argument("--checkpoints", type=_list_of(_pos_int),
-                   default=",".join(str(c) for c in experiments.DEFAULT_CHECKPOINTS),
-                   help="iterations at which fig4 errors are reported")
+                   help="iterations at which fig4 errors are reported, none beyond "
+                        "--iterations (default: those of "
+                        f"{','.join(map(str, experiments.DEFAULT_CHECKPOINTS))} within it)")
     _add_param_flags(r)
     return parser
 
@@ -242,7 +243,18 @@ def _load_config(path, actions) -> dict:
     return settings
 
 
+# fit settings that only the rjmcmc sampler reads
+RJMCMC_ONLY = ("prior_k", "prior_k_mean", "prior_k_q", "k_max",
+               "plain_theta_denominator", "duplicate_row_factor")
+
+
 def cmd_fit(args) -> int:
+    if args.sampler == "gibbs":
+        builtin = build_parser().parse_args(["fit", "--data", "", "--out", ""])
+        for name in RJMCMC_ONLY:
+            if getattr(args, name) != getattr(builtin, name):
+                raise UsageError(f"--{name.replace('_', '-')} ({name}) applies to "
+                                 f"--sampler rjmcmc only, and gibbs would ignore it")
     params = _params(args)
     k_prior = None  # None: the chain's default prior over K
     if args.sampler == "rjmcmc" and (args.prior_k != "poisson" or args.prior_k_mean is not None):
@@ -348,11 +360,17 @@ def cmd_replicate(args) -> int:
         )
     else:
         run_type, experiment = experiments.StructureRun, experiments.structure_recovery_experiment
+        checkpoints = args.checkpoints
+        if checkpoints is None:
+            checkpoints = [c for c in experiments.DEFAULT_CHECKPOINTS if c <= args.iterations]
+        elif max(checkpoints) > args.iterations:
+            raise UsageError(f"--checkpoints {max(checkpoints)} lies beyond "
+                             f"--iterations {args.iterations}")
         study.update(
             structures=args.structures,
             inits=args.inits or ["empty"],
             n_trials=args.t if args.t is not None else 150,
-            checkpoints=args.checkpoints,
+            checkpoints=checkpoints,
         )
     out = dataio.ensure_dir(args.out)
     runs = experiment(**study)

@@ -243,9 +243,11 @@ def structure_recovery_experiment(
     params: ModelParams = DEFAULT_PARAMS,
     jobs: int = 1,
 ) -> list[StructureRun]:
-    kept = [c for c in checkpoints if c <= iterations]
+    late = [c for c in checkpoints if c > iterations]
+    if late:
+        raise ValueError(f"checkpoints {late} lie beyond {iterations} iterations")
     study = _Study(master_seed, iterations, params, n_trials)
-    specs = [(StructureRun(structure, index, sampler, init, list(kept)), study)
+    specs = [(StructureRun(structure, index, sampler, init, list(checkpoints)), study)
              for structure in structures for index in range(datasets_per_condition)
              for sampler in samplers for init in inits]
     return _run_specs(specs, jobs)

@@ -26,16 +26,20 @@ def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int
 
 
 def _sample_z_given_theta(
-    state: SamplerState, i: int, k: int, X, rng: np.random.Generator, theta_bar: float
+    state: SamplerState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator,
+    theta_bar: float,
 ) -> int:
-    """Two-point draw of z[i, k] with prior weight theta_bar on 1."""
+    """Two-point draw of z[i, k] with prior weight theta_bar on 1.
+
+    row_idx is ``flat_index(X[i], state.counts[i], state.k)``; a flip
+    updates it along with the counts."""
     params = state.params
     old = int(state.Z[i, k])
     active = state.Y[k].nonzero()[0]
     if active.size:
         # Z Y <= K, so a table up to K covers every count
         table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
-        idx = flat_index(X[i, active], state.counts[i, active], state.k)
+        idx = row_idx[active]
         idx -= old
         ll0 = float(table.take(idx).sum())
         idx += 1
@@ -50,18 +54,22 @@ def _sample_z_given_theta(
         state.column_sums[k] += new - old
         if active.size:
             state.counts[i, active] += new - old
+            row_idx[active] += new - old
     return new
 
 
-def gibbs_sample_z_entry(state: SamplerState, i: int, k: int, X, rng: np.random.Generator) -> int:
+def gibbs_sample_z_entry(
+    state: SamplerState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator
+) -> int:
     """Resample z[i, k] given everything else, for a column some other row
     still uses (m_minus > 0).  The prior weight on z = 1 is m_minus / N.
+    row_idx is row i's flat table index (see ``_sample_z_given_theta``).
     """
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     if m_minus <= 0:
         raise ValueError("column is a singleton of row i; handled by sample_new_causes")
     theta_bar = m_minus / state.n_rows
-    return _sample_z_given_theta(state, i, k, X, rng, theta_bar)
+    return _sample_z_given_theta(state, i, k, row_idx, rng, theta_bar)
 
 
 def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
@@ -116,8 +124,14 @@ def sample_new_causes(
         )
         state.Y = np.concatenate([state.Y, np.zeros((k_new, t), dtype=np.int8)], axis=0)
         for j in range(state.Y.shape[0] - k_new, state.Y.shape[0]):
-            resample_y_row(state, j, X, rng)
+            resample_y_row(state, j, X, rng.random(t))
     return k_new
+
+
+def _log_p(p: float) -> tuple[float, float]:
+    """(log p, log(1 - p)), -inf at the ends of [0, 1]."""
+    with np.errstate(divide="ignore"):
+        return float(np.log(p)), float(np.log1p(-p))
 
 
 def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) -> np.ndarray:
@@ -125,11 +139,7 @@ def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) ->
     conditionally independent given the rest of the state); rows are the
     rows of Z linked to cause k."""
     params = state.params
-    with np.errstate(divide="ignore"):
-        log_p1 = float(np.log(params.p))
-        log_p0 = float(np.log1p(-params.p))
-    if rows.size == 0:
-        return np.full(state.n_trials, log_p1 - log_p0)
+    log_p1, log_p0 = _log_p(params.p)
     table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
     idx = flat_index(X[rows], state.counts[rows], state.k)
     idx -= state.Y[k]
@@ -143,12 +153,12 @@ def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) ->
     return logw1 - logw0
 
 
-def resample_y_row(state: SamplerState, k: int, X, rng: np.random.Generator) -> None:
-    """One Gibbs pass over y[k, :], vectorized across trials; draws the
-    same uniforms, in the same order, as the per-entry update would."""
+def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray) -> None:
+    """One Gibbs pass over y[k, :], vectorized across trials, from the T
+    uniforms u; the per-entry update would draw the same ones in order."""
     rows = state.Z[:, k].nonzero()[0]
     delta = _y_conditional_log_odds(state, k, X, rows)
-    new = (rng.random(state.n_trials) < expit(delta)).astype(np.int8)
+    new = (u < expit(delta)).astype(np.int8)
     diff = new.astype(np.int32) - state.Y[k].astype(np.int32)
     if rows.size and diff.any():
         state.counts[rows] += diff[None, :]
@@ -156,8 +166,18 @@ def resample_y_row(state: SamplerState, k: int, X, rng: np.random.Generator) -> 
 
 
 def resample_all_y(state: SamplerState, X, rng: np.random.Generator) -> None:
-    for k in range(state.Y.shape[0]):
-        resample_y_row(state, k, X, rng)
+    """Resample every activation row from one (K, T) block of uniforms,
+    row k from block row k: the stream of K calls of ``rng.random(T)``.
+    Linked rows go in index order; an unlinked row draws from its prior
+    alone and moves no count, so all of them take one comparison."""
+    u = rng.random((state.k, state.n_trials))
+    linked = state.column_sums > 0
+    for k in linked.nonzero()[0]:
+        resample_y_row(state, k, X, u[k])
+    if not linked.all():
+        log_p1, log_p0 = _log_p(state.params.p)
+        unlinked = ~linked
+        state.Y[unlinked] = u[unlinked] < expit(log_p1 - log_p0)
 
 
 def compact_state(state: SamplerState) -> SamplerState:
@@ -180,10 +200,11 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
     """
     for i in range(state.n_rows):
         k_at_entry = state.Z.shape[1]
+        row_idx = flat_index(X[i], state.counts[i], state.k)
         singletons = []
         for k in range(k_at_entry):
             if state.column_sums[k] - state.Z[i, k] > 0:
-                gibbs_sample_z_entry(state, i, k, X, rng)
+                gibbs_sample_z_entry(state, i, k, row_idx, rng)
             else:
                 singletons.append(k)
         for k in singletons:

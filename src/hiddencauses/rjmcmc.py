@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .gibbs import _sample_z_given_theta, resample_all_y
-from .model import SamplerState, log_prior_Z_finite_from_sums
+from .model import SamplerState, flat_index, log_prior_Z_finite_from_sums
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +229,24 @@ def finite_theta_bar(
     return min(1.0, (m_minus + ak) / n_rows)
 
 
-def finite_conditional_z(state: FiniteState, i: int, k: int, X, rng: np.random.Generator) -> int:
-    """Resample z[i, k] under the finite prior (valid for m_minus = 0)."""
+def finite_conditional_z(
+    state: FiniteState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator
+) -> int:
+    """Resample z[i, k] under the finite prior (valid for m_minus = 0);
+    row_idx is row i's flat table index (see ``_sample_z_given_theta``)."""
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     theta_bar = finite_theta_bar(
         m_minus, state.n_rows, state.k, state.params.alpha, state.predictive
     )
-    return _sample_z_given_theta(state, i, k, X, rng, theta_bar)
+    return _sample_z_given_theta(state, i, k, row_idx, rng, theta_bar)
 
 
 def finite_gibbs_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:
     """One fixed-dimension sweep: every z entry, then every activation row."""
     for i in range(state.n_rows):
+        row_idx = flat_index(X[i], state.counts[i], state.k)
         for k in range(state.k):
-            finite_conditional_z(state, i, k, X, rng)
+            finite_conditional_z(state, i, k, row_idx, rng)
     resample_all_y(state, X, rng)
     return state
 
@@ -259,7 +263,8 @@ def rjmcmc_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState
             birth_acceptance(state, proposed, rng)
         else:
             death_acceptance(state, k_pick, rng)
+        row_idx = flat_index(X[i], state.counts[i], state.k)
         for k in range(state.k):
-            finite_conditional_z(state, i, k, X, rng)
+            finite_conditional_z(state, i, k, row_idx, rng)
         resample_all_y(state, X, rng)
     return state

@@ -3,12 +3,30 @@
 ``check_consistency`` recomputes a state's caches from Z and Y;
 ``gibbs_sample_y_entry`` is the per-entry activation update that the
 vectorized ``resample_y_row`` must reproduce draw for draw.
+``reference_z_entry`` and ``reference_resample_all_y`` are the z-entry
+gather and the per-row Y pass as they were before the samplers kept one
+flat index per row and drew one block of uniforms per Y pass; the
+samplers must still match them draw for draw.
 """
 
+import math
+
 import numpy as np
+from scipy.special import expit
 
 from hiddencauses.gibbs import _two_point_draw
-from hiddencauses.model import SamplerState, log_pmf_noisy_or
+from hiddencauses.model import (
+    DegenerateModelError,
+    SamplerState,
+    flat_index,
+    log_pmf_noisy_or,
+    shared_log_pmf_table,
+)
+
+
+def row_index(state: SamplerState, i: int, X) -> np.ndarray:
+    """Row i's flat table index, the argument the z-entry draws keep."""
+    return flat_index(X[i], state.counts[i], state.k)
 
 
 def check_consistency(state: SamplerState) -> None:
@@ -43,3 +61,61 @@ def gibbs_sample_y_entry(state: SamplerState, k: int, t: int, X, rng: np.random.
         state.Y[k, t] = new
         state.counts[rows, t] += new - old
     return new
+
+
+def reference_z_entry(
+    state: SamplerState, i: int, k: int, X, rng: np.random.Generator, theta_bar: float
+) -> int:
+    """Two-point draw of z[i, k] that gathers from X and the counts at
+    each call."""
+    params = state.params
+    old = int(state.Z[i, k])
+    active = state.Y[k].nonzero()[0]
+    if active.size:
+        table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
+        idx = flat_index(X[i, active], state.counts[i, active], state.k)
+        idx -= old
+        ll0 = float(table.take(idx).sum())
+        idx += 1
+        ll1 = float(table.take(idx).sum())
+    else:
+        ll0 = ll1 = 0.0
+    logw1 = (math.log(theta_bar) if theta_bar > 0 else -math.inf) + ll1
+    logw0 = (math.log1p(-theta_bar) if theta_bar < 1 else -math.inf) + ll0
+    new = _two_point_draw(logw1, logw0, rng)
+    if new != old:
+        state.Z[i, k] = new
+        state.column_sums[k] += new - old
+        if active.size:
+            state.counts[i, active] += new - old
+    return new
+
+
+def reference_resample_all_y(state: SamplerState, X, rng: np.random.Generator) -> None:
+    """The Y pass row by row: each row computes its log-odds, then draws
+    its T uniforms, linked or not."""
+    params = state.params
+    with np.errstate(divide="ignore"):
+        log_p1 = float(np.log(params.p))
+        log_p0 = float(np.log1p(-params.p))
+    for k in range(state.k):
+        rows = state.Z[:, k].nonzero()[0]
+        if rows.size == 0:
+            delta = np.full(state.n_trials, log_p1 - log_p0)
+        else:
+            table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
+            idx = flat_index(X[rows], state.counts[rows], state.k)
+            idx -= state.Y[k]
+            ll0 = table.take(idx).sum(axis=0)
+            idx += 1
+            ll1 = table.take(idx).sum(axis=0)
+            logw1 = log_p1 + ll1
+            logw0 = log_p0 + ll0
+            if (np.isneginf(logw1) & np.isneginf(logw0)).any():
+                raise DegenerateModelError("both states of an activation draw have zero mass")
+            delta = logw1 - logw0
+        new = (rng.random(state.n_trials) < expit(delta)).astype(np.int8)
+        diff = new.astype(np.int32) - state.Y[k].astype(np.int32)
+        if rows.size and diff.any():
+            state.counts[rows] += diff[None, :]
+        state.Y[k] = new

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from helpers import check_consistency, gibbs_sample_y_entry
+from helpers import check_consistency, gibbs_sample_y_entry, row_index
 from hiddencauses import (
     DegenerateModelError,
     ModelParams,
@@ -43,7 +43,8 @@ class TestZEntryConditional:
     def _frequency(self, X, n_draws=20_000, seed=0):
         state = _two_cause_state()
         rng = np.random.default_rng(seed)
-        hits = sum(gibbs_sample_z_entry(state, 0, 0, X, rng) for _ in range(n_draws))
+        row_idx = row_index(state, 0, X)  # each flip updates it
+        hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, rng) for _ in range(n_draws))
         check_consistency(state)
         return hits / n_draws
 
@@ -70,7 +71,8 @@ class TestZEntryConditional:
         state = SamplerState.from_matrices(Z, Y, PARAMS)
         X = np.array([[1, 1], [1, 1]], dtype=np.int8)
         rng = np.random.default_rng(2)
-        freq = np.mean([gibbs_sample_z_entry(state, 0, 0, X, rng) for _ in range(20_000)])
+        row_idx = row_index(state, 0, X)
+        freq = np.mean([gibbs_sample_z_entry(state, 0, 0, row_idx, rng) for _ in range(20_000)])
         assert abs(freq - 0.5) < 4 * math.sqrt(0.25 / 20_000)
 
     def test_singleton_column_rejected(self):
@@ -78,8 +80,9 @@ class TestZEntryConditional:
         Z = np.array([[1], [0]], dtype=np.int8)
         Y = np.array([[1, 0]], dtype=np.int8)
         state = SamplerState.from_matrices(Z, Y, PARAMS)
+        row_idx = row_index(state, 0, np.zeros((2, 2), dtype=np.int8))
         with pytest.raises(ValueError):
-            gibbs_sample_z_entry(state, 0, 0, np.zeros((2, 2), dtype=np.int8), np.random.default_rng(0))
+            gibbs_sample_z_entry(state, 0, 0, row_idx, np.random.default_rng(0))
 
 
 class TestYEntryConditional:
@@ -131,7 +134,7 @@ class TestRowResampleEquivalence:
         X = (rng_setup.random((4, 7)) < 0.5).astype(np.int8)
         a = SamplerState.from_matrices(Z, Y, PARAMS)
         b = copy.deepcopy(a)
-        resample_y_row(a, 0, X, np.random.default_rng(7))
+        resample_y_row(a, 0, X, np.random.default_rng(7).random(7))
         rng_b = np.random.default_rng(7)
         for t in range(7):
             gibbs_sample_y_entry(b, 0, t, X, rng_b)

@@ -2,6 +2,7 @@
 the shared tables under changing parameters, the samplers' caches under
 random move sequences, and the IBP prior under column permutation."""
 
+import contextlib
 import math
 from unittest import mock
 
@@ -12,13 +13,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import gammaln, xlogy
 
-from helpers import check_consistency
-from hiddencauses import FiniteState, ModelParams, log_prior_Z_ibp, marginal_on_prob
-from hiddencauses import gibbs
+from helpers import (
+    check_consistency,
+    reference_resample_all_y,
+    reference_z_entry,
+    row_index,
+)
+from hiddencauses import (
+    DegenerateModelError,
+    FiniteState,
+    ModelParams,
+    SamplerState,
+    log_prior_Z_ibp,
+    marginal_on_prob,
+)
+from hiddencauses import gibbs, rjmcmc
 from hiddencauses.gibbs import (
     MAX_NEW_CAUSES,
     compact_state,
     gibbs_sample_z_entry,
+    resample_all_y,
     resample_y_row,
     sample_new_causes,
 )
@@ -92,13 +106,13 @@ class TestCachesUnderMoves:
             i, k = a % n, b % state.k
             if move == "z":
                 if state.column_sums[k] - state.Z[i, k] > 0:
-                    gibbs_sample_z_entry(state, i, k, X, rng)
+                    gibbs_sample_z_entry(state, i, k, row_index(state, i, X), rng)
                 else:
-                    finite_conditional_z(state, i, k, X, rng)
+                    finite_conditional_z(state, i, k, row_index(state, i, X), rng)
             elif move == "fresh":
                 sample_new_causes(state, i, X, rng)
             elif move == "y":
-                resample_y_row(state, k, X, rng)
+                resample_y_row(state, k, X, rng.random(t))
             elif move == "birth" and state.column_sums[k] > 0:
                 birth_acceptance(state, (rng.random(t) < params.p).astype(np.int8), rng)
             elif move == "death" and state.column_sums[k] == 0:
@@ -120,7 +134,7 @@ def _z_log_weights(state, i, k, X):
         return int(state.Z[i, k])  # keep z: the state stays as it is
 
     with mock.patch.object(gibbs, "_two_point_draw", record):
-        gibbs._sample_z_given_theta(state, i, k, X, None, 0.5)
+        gibbs._sample_z_given_theta(state, i, k, row_index(state, i, X), None, 0.5)
     return seen[0]
 
 
@@ -214,9 +228,9 @@ class TestSharedTables:
             elif move == "compact" and state.kplus:
                 compact_state(state)
             elif move == "z":
-                finite_conditional_z(state, i, k, X, rng)
+                finite_conditional_z(state, i, k, row_index(state, i, X), rng)
             elif move == "y":
-                resample_y_row(state, k, X, rng)
+                resample_y_row(state, k, X, rng.random(t))
             _assert_gathers_match_elementwise(state, X)
 
     def test_shared_tables_are_read_only(self):
@@ -227,6 +241,150 @@ class TestSharedTables:
                 table[..., 0, 0] = 0.0
             with pytest.raises(ValueError):
                 table.ravel()[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# one flat index per z row, one block of uniforms per Y pass: the same
+# draws as the per-entry gather and the per-row Y loop
+# ---------------------------------------------------------------------------
+
+
+# inside values first: hypothesis favours a one_of's first branch
+probs = st.one_of(st.floats(0.02, 0.98), st.sampled_from((0.0, 1.0)))
+leaks = st.one_of(st.floats(0.001, 0.5), st.just(0.0))
+
+
+@st.composite
+def matrices(draw, min_k=0):
+    """(Z, Y, X, params): a random set of linked columns, each with at
+    least one edge, beside unlinked ones; lam, epsilon and p at their
+    boundaries as well as inside."""
+    n, t, k = draw(st.integers(1, 6)), draw(st.integers(1, 10)), draw(st.integers(min_k, 6))
+    linked = np.zeros(k, dtype=bool)
+    linked[draw(st.permutations(range(k)))[:draw(st.integers(0, k))]] = True
+    Z = draw(arrays(np.int8, (n, k), elements=st.integers(0, 1))) * linked
+    for col in linked.nonzero()[0]:
+        Z[draw(st.integers(0, n - 1)), col] = 1
+    Y = draw(arrays(np.int8, (k, t), elements=st.integers(0, 1)))
+    X = draw(arrays(np.int8, (n, t), elements=st.integers(0, 1)))
+    params = ModelParams(epsilon=draw(leaks), lam=draw(probs), p=draw(probs), alpha=1.5)
+    return Z, Y, X, params
+
+
+def _assert_same_state(a, b):
+    for name in ("Z", "Y", "counts", "column_sums"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+def _reference_passes(X):
+    """Patches that run the sweeps on the reference z gather and Y loop."""
+    def z_entry(state, i, k, row_idx, rng, theta_bar):
+        return reference_z_entry(state, i, k, X, rng, theta_bar)
+
+    return [mock.patch.object(module, "_sample_z_given_theta", z_entry)
+            for module in (gibbs, rjmcmc)] + [
+        mock.patch.object(module, "resample_all_y", reference_resample_all_y)
+        for module in (gibbs, rjmcmc)]
+
+
+def _checked_row_index(X):
+    """A patch that asserts, after every z entry, that the row's flat
+    index still equals one built from the counts."""
+    real = gibbs._sample_z_given_theta
+
+    def z_entry(state, i, k, row_idx, rng, theta_bar):
+        new = real(state, i, k, row_idx, rng, theta_bar)
+        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        return new
+
+    return [mock.patch.object(module, "_sample_z_given_theta", z_entry)
+            for module in (gibbs, rjmcmc)]
+
+
+def _run(sweep, state, X, seed, patches):
+    rng = np.random.default_rng(seed)
+    with contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        try:
+            sweep(state, X, rng)
+        except DegenerateModelError:
+            return None
+    return rng.bit_generator.state
+
+
+SWEEPS = {
+    "gibbs": (SamplerState, gibbs.gibbs_sweep),
+    "finite": (FiniteState, rjmcmc.finite_gibbs_sweep),
+    "rjmcmc": (FiniteState, rjmcmc.rjmcmc_sweep),
+}
+
+
+class TestPassesMatchReference:
+    @given(case=matrices(), seed=st.integers(0, 2**32 - 1))
+    def test_y_pass_matches_per_row_loop(self, case, seed):
+        Z, Y, X, params = case
+        state = SamplerState.from_matrices(Z, Y, params)
+        ref = SamplerState.from_matrices(Z, Y, params)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            resample_all_y(state, X, rng)
+        except DegenerateModelError:
+            # the same linked row raises; unlinked rows are set only after
+            # every linked row has been drawn
+            with pytest.raises(DegenerateModelError):
+                reference_resample_all_y(ref, X, ref_rng)
+            linked = state.column_sums > 0
+            np.testing.assert_array_equal(state.Y[linked], ref.Y[linked])
+            np.testing.assert_array_equal(state.Y[~linked], Y[~linked])
+            np.testing.assert_array_equal(state.counts, ref.counts)
+            return
+        reference_resample_all_y(ref, X, ref_rng)
+        _assert_same_state(state, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        check_consistency(state)
+
+    @given(case=matrices(min_k=1), i=st.integers(0, 63),
+           thetas=st.lists(probs, min_size=6, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_z_entries_match_per_entry_gather(self, case, i, thetas, seed):
+        Z, Y, X, params = case
+        state = SamplerState.from_matrices(Z, Y, params)
+        ref = SamplerState.from_matrices(Z, Y, params)
+        i %= state.n_rows
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        row_idx = row_index(state, i, X)
+        for k in range(state.k):
+            try:
+                got = gibbs._sample_z_given_theta(state, i, k, row_idx, rng, thetas[k])
+            except DegenerateModelError:
+                with pytest.raises(DegenerateModelError):
+                    reference_z_entry(ref, i, k, X, ref_rng, thetas[k])
+                got = None
+            else:
+                assert got == reference_z_entry(ref, i, k, X, ref_rng, thetas[k])
+            _assert_same_state(state, ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+            if got is None:
+                return
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    @given(case=matrices(min_k=1), seed=st.integers(0, 2**32 - 1))
+    def test_sweeps_match_reference_passes(self, sweep, case, seed):
+        """Whole sweeps build each row's index where the z entries need it:
+        the same draws as sweeps on the reference passes, and after every
+        entry the index equals one built from the counts."""
+        Z, Y, X, params = case
+        cls, run = SWEEPS[sweep]
+        state = cls.from_matrices(Z, Y, params)
+        ref = cls.from_matrices(Z, Y, params)
+        got = _run(run, state, X, seed, _checked_row_index(X))
+        want = _run(run, ref, X, seed, _reference_passes(X))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == want
+            _assert_same_state(state, ref)
+            check_consistency(state)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from helpers import check_consistency
+from helpers import check_consistency, row_index
 from hiddencauses import FiniteState, ModelParams, UniformK, finite_gibbs_sweep, rjmcmc_sweep
 from hiddencauses.rjmcmc import (
     GeometricK,
@@ -115,7 +115,8 @@ class TestFiniteThetaBar:
         )
         state.Z[1, 0] = 0
         state.column_sums[0] = 0
-        z = finite_conditional_z(state, 0, 0, np.zeros((2, 2), dtype=np.int8), np.random.default_rng(0))
+        row_idx = row_index(state, 0, np.zeros((2, 2), dtype=np.int8))
+        z = finite_conditional_z(state, 0, 0, row_idx, np.random.default_rng(0))
         assert z in (0, 1)
         check_consistency(state)
 

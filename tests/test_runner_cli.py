@@ -235,6 +235,12 @@ class TestStep:
 # ---------------------------------------------------------------------------
 
 
+# each rjmcmc-only fit setting, set away from its default
+RJMCMC_ONLY_SETTINGS = [("prior_k", "uniform"), ("prior_k_mean", 2.5), ("prior_k_q", 0.25),
+                        ("k_max", 7), ("plain_theta_denominator", True),
+                        ("duplicate_row_factor", True)]
+
+
 def _generate(tmp_path, extra=()):
     bundle = tmp_path / "data"
     code = main(
@@ -420,6 +426,37 @@ class TestCliFit:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, value", RJMCMC_ONLY_SETTINGS)
+    def test_rjmcmc_flag_refused_under_gibbs(self, tmp_path, capsys, name, value):
+        """A gibbs fit would ignore the setting and still record it in
+        summary.json; it ends as a usage error before the data is read
+        (--data names no file, which reading would report as exit 2)."""
+        flag = "--" + name.replace("_", "-")
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+                "--sampler", "gibbs", flag, *([] if value is True else [str(value)])]
+        assert main(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, value", RJMCMC_ONLY_SETTINGS)
+    def test_rjmcmc_setting_in_config_refused_under_gibbs(self, tmp_path, capsys, name, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler": "gibbs", name: value}))
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+                "--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert "--" + name.replace("_", "-") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rjmcmc_defaults_accepted_under_gibbs(self, tmp_path):
+        bundle = _generate(tmp_path)
+        argv = ["fit", "--data", str(bundle), "--out", str(tmp_path / "fit"),
+                "--iterations", "2", "--prior-k", "poisson", "--k-max", "50",
+                "--prior-k-q", "0.5"]
+        assert main(argv) == EXIT_OK
+
 
 class TestCliEval:
     def test_metrics_against_truth(self, tmp_path, capsys):
@@ -478,6 +515,27 @@ class TestCliReplicate:
         lines = (out / "fig4_results.csv").read_text().splitlines()
         assert lines[0].startswith("structure,sampler,init,iteration,runs")
         assert len(lines) == 3  # header + one row per checkpoint
+
+    def test_checkpoint_beyond_iterations_is_usage_error(self, tmp_path, capsys):
+        """A typed checkpoint that the chain never reaches was once dropped,
+        leaving a header-only table and exit 0."""
+        out = tmp_path / "study"
+        argv = ["replicate", "fig4", "--out", str(out), "--checkpoints", "5,99",
+                "--iterations", "3", "--datasets", "1", "--t", "10", "--samplers", "gibbs",
+                "--structures", "degree1"]
+        assert main(argv) == EXIT_USAGE
+        assert "--checkpoints 99" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match=r"\[5, 99\]"):
+            experiments.structure_recovery_experiment(iterations=3, checkpoints=(1, 5, 99))
+
+    def test_default_checkpoints_stop_at_iterations(self, tmp_path):
+        out = tmp_path / "study"
+        argv = ["replicate", "fig4", "--out", str(out), "--iterations", "3", "--datasets", "1",
+                "--t", "10", "--samplers", "gibbs", "--structures", "degree1"]
+        assert main(argv) == EXIT_OK
+        rows = (out / "fig4_results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["1", "2"]
 
     def test_bad_k_range_is_usage_error(self, tmp_path):
         code = main(
