@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .harness import (
     rejection_sample_Z,
     structure_error,
 )
+from .hypers import MH_STEP
 from .model import DegenerateModelError, ModelParams
 from .rjmcmc import make_k_prior
 from .runner import INITS, RANDOM_INIT_K, SAMPLERS, run_chain
@@ -87,10 +89,13 @@ def _params(args) -> ModelParams:
 
 
 def _add_param_flags(parser):
-    parser.add_argument("--epsilon", type=_leak, default=0.01, help="leak probability")
-    parser.add_argument("--lambda", dest="lam", type=_unit, default=0.9, help="transmission probability")
-    parser.add_argument("--p", type=_unit, default=0.1, help="activation probability")
-    parser.add_argument("--alpha", type=_pos_float, default=3.0, help="structure intensity")
+    default = experiments.DEFAULT_PARAMS
+    parser.add_argument("--epsilon", type=_leak, default=default.epsilon, help="leak probability")
+    parser.add_argument("--lambda", dest="lam", type=_unit, default=default.lam,
+                        help="transmission probability")
+    parser.add_argument("--p", type=_unit, default=default.p, help="activation probability")
+    parser.add_argument("--alpha", type=_pos_float, default=default.alpha,
+                        help="structure intensity")
 
 
 def build_parser(config=None) -> _Parser:
@@ -119,7 +124,7 @@ def build_parser(config=None) -> _Parser:
     f.add_argument("--init", choices=INITS, default="empty")
     f.add_argument("--infer-hypers", action="store_true",
                    help="resample lambda, epsilon, p (and alpha under gibbs) each sweep")
-    f.add_argument("--mh-step", type=_pos_float, default=0.05, help="random-walk half-width")
+    f.add_argument("--mh-step", type=_pos_float, default=MH_STEP, help="random-walk half-width")
     f.add_argument("--burn-in", type=_nonneg_int, default=0,
                    help="iterations excluded from summaries")
     f.add_argument("--prior-k", choices=("poisson", "geometric", "uniform"), default="poisson",
@@ -143,31 +148,35 @@ def build_parser(config=None) -> _Parser:
     e.add_argument("--truth", required=True, help="bundle directory with Z.csv")
     e.add_argument("--out", help="write metrics JSON here (default stdout only)")
 
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--datasets", type=_pos_int, default=10, help="datasets per condition")
+    common.add_argument("--iterations", type=_nonneg_int, default=500)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--jobs", type=_pos_int, default=1,
+                        help="parallel worker processes (at most one per run and per core)")
+    common.add_argument("--samplers", type=_list_of(_one_of(SAMPLERS)), default="gibbs,rjmcmc")
+    _add_param_flags(common)
+    inits = _list_of(_one_of(INITS))
+
     r = sub.add_parser("replicate", help="run a multi-condition study")
-    r.add_argument("figure", choices=("fig3", "fig4"),
-                   help="fig3: dimension recovery; fig4: structure recovery")
-    r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--datasets", type=_pos_int, default=10, help="datasets per condition")
-    r.add_argument("--iterations", type=_nonneg_int, default=500)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--jobs", type=_pos_int, default=1,
-                   help="parallel worker processes (at most one per run and per core)")
-    r.add_argument("--n", type=_pos_int, default=6, help="observations (fig3)")
-    r.add_argument("--t", type=_pos_int, default=None,
-                   help="trials (default 500 for fig3, 150 for fig4)")
-    r.add_argument("--k-range", type=_list_of(_nonneg_int), default="1,2,3,4",
-                   help="true dimensions (fig3)")
-    r.add_argument("--structures", type=_list_of(_one_of(CANONICAL_STRUCTURES)),
-                   default=",".join(sorted(CANONICAL_STRUCTURES)),
-                   help="comma-separated structure names (fig4)")
-    r.add_argument("--samplers", type=_list_of(_one_of(SAMPLERS)), default="gibbs,rjmcmc")
-    r.add_argument("--inits", type=_list_of(_one_of(INITS)), default=None,
-                   help="default: empty,random10 for fig3; empty for fig4")
-    r.add_argument("--checkpoints", type=_list_of(_pos_int),
-                   help="iterations at which fig4 errors are reported, none beyond "
-                        "--iterations (default: those of "
-                        f"{','.join(map(str, experiments.DEFAULT_CHECKPOINTS))} within it)")
-    _add_param_flags(r)
+    figures = r.add_subparsers(dest="figure", required=True)
+    r3 = figures.add_parser("fig3", parents=[common], help="dimension recovery")
+    r3.add_argument("--n", type=_pos_int, default=6, help="observations")
+    r3.add_argument("--k-range", type=_list_of(_nonneg_int), default="1,2,3,4",
+                    help="true dimensions")
+    r3.add_argument("--t", type=_pos_int, default=500, help="trials (default 500)")
+    r3.add_argument("--inits", type=inits, default="empty,random10")
+    r4 = figures.add_parser("fig4", parents=[common], help="structure recovery")
+    r4.add_argument("--structures", type=_list_of(_one_of(CANONICAL_STRUCTURES)),
+                    default=",".join(sorted(CANONICAL_STRUCTURES)),
+                    help="comma-separated structure names")
+    r4.add_argument("--checkpoints", type=_list_of(_pos_int),
+                    help="iterations at which errors are reported, none beyond "
+                         "--iterations (default: those of "
+                         f"{','.join(map(str, experiments.DEFAULT_CHECKPOINTS))} within it)")
+    r4.add_argument("--t", type=_pos_int, default=150, help="trials (default 150)")
+    r4.add_argument("--inits", type=inits, default="empty")
     return parser
 
 
@@ -194,8 +203,7 @@ def cmd_generate(args) -> int:
         "command": "generate",
         "seed": args.seed,
         "t": args.t,
-        "params": {"epsilon": params.epsilon, "lambda": params.lam, "p": params.p,
-                   "alpha": params.alpha},
+        "params": dataio.params_record(params),
         **origin,
     }
     dataio.write_dataset_bundle(args.out, data, manifest)
@@ -281,7 +289,8 @@ def cmd_fit(args) -> int:
         timing=args.timing,
     )
 
-    out = dataio.ensure_dir(args.out)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_trace(
         out / "trace.jsonl",
         [rec.to_dict() for rec in result.trace],
@@ -300,12 +309,7 @@ def cmd_fit(args) -> int:
         "final": {
             "kplus": final.kplus,
             "k": final.k,
-            "params": {
-                "epsilon": final.params.epsilon,
-                "lambda": final.params.lam,
-                "p": final.params.p,
-                "alpha": final.params.alpha,
-            },
+            "params": dataio.params_record(final.params),
         },
         "mh_acceptance": result.mh_acceptance,
         **({"elapsed_ms": result.elapsed_ms} if args.timing else {}),
@@ -347,17 +351,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    study = dict(master_seed=args.seed, samplers=args.samplers,
+    study = dict(master_seed=args.seed, samplers=args.samplers, inits=args.inits,
                  datasets_per_condition=args.datasets, iterations=args.iterations,
-                 params=_params(args), jobs=args.jobs)
+                 n_trials=args.t, params=_params(args), jobs=args.jobs)
     if args.figure == "fig3":
         run_type, experiment = experiments.DimensionRun, experiments.dimension_recovery_experiment
-        study.update(
-            k_values=args.k_range,
-            inits=args.inits or ["empty", "random10"],
-            n_rows=args.n,
-            n_trials=args.t if args.t is not None else 500,
-        )
+        study.update(k_values=args.k_range, n_rows=args.n)
     else:
         run_type, experiment = experiments.StructureRun, experiments.structure_recovery_experiment
         checkpoints = args.checkpoints
@@ -366,13 +365,9 @@ def cmd_replicate(args) -> int:
         elif max(checkpoints) > args.iterations:
             raise UsageError(f"--checkpoints {max(checkpoints)} lies beyond "
                              f"--iterations {args.iterations}")
-        study.update(
-            structures=args.structures,
-            inits=args.inits or ["empty"],
-            n_trials=args.t if args.t is not None else 150,
-            checkpoints=checkpoints,
-        )
-    out = dataio.ensure_dir(args.out)
+        study.update(structures=args.structures, checkpoints=checkpoints)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     runs = experiment(**study)
     table = out / f"{args.figure}_results.csv"
     run_type.write_table(table, runs)
@@ -389,25 +384,18 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "fit":
-            if args.config:
-                args = build_parser(args.config).parse_args(argv)
-            return cmd_fit(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        return cmd_replicate(args)
+        if args.command == "fit" and args.config:
+            args = build_parser(args.config).parse_args(argv)
+        commands = {"generate": cmd_generate, "fit": cmd_fit, "eval": cmd_eval,
+                    "replicate": cmd_replicate}
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateModelError as exc:
         print(f"model degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except RejectionError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RejectionError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

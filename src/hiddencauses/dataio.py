@@ -45,15 +45,15 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.array(rows, dtype=np.int8)
 
 
+def params_record(params: ModelParams) -> dict:
+    """The on-disk spelling of params, in the order the files list them."""
+    return {"epsilon": params.epsilon, "lambda": params.lam, "p": params.p,
+            "alpha": params.alpha}
+
+
 def write_params_json(path, params: ModelParams) -> None:
-    payload = {
-        "epsilon": params.epsilon,
-        "lambda": params.lam,
-        "p": params.p,
-        "alpha": params.alpha,
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(params_record(params), fh, indent=2)
         fh.write("\n")
 
 
@@ -142,12 +142,6 @@ def read_trace(path) -> list[dict]:
                 ) from None
             raise ValueError(f"{path}: line {idx + 1} is not valid JSON") from None
     return records
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
 
 
 def file_digest(path) -> str:

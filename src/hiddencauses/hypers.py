@@ -23,6 +23,7 @@ from .model import SamplerState, log_likelihood_from_counts
 from .ibp import harmonic_number
 
 RATE_NAMES = ("lam", "epsilon")
+MH_STEP = 0.05  # default half-width of the rate parameters' uniform proposal
 
 
 def sample_p(Y, rng: np.random.Generator) -> float:
@@ -41,7 +42,7 @@ def sample_alpha(kplus: int, n_rows: int, rng: np.random.Generator) -> float:
 
 
 def mh_step_rate(
-    name: str, state: SamplerState, X, rng: np.random.Generator, step_size: float = 0.05
+    name: str, state: SamplerState, X, rng: np.random.Generator, step_size: float = MH_STEP
 ) -> tuple[float, bool]:
     """One Metropolis step on params.lam or params.epsilon.
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .gibbs import gibbs_sweep
 from .harness import PosteriorSummary, SummaryAccumulator
-from .hypers import mh_step_rate, sample_alpha, sample_p
+from .hypers import MH_STEP, mh_step_rate, sample_alpha, sample_p
 from .ibp import harmonic_number
 from .model import ModelParams, SamplerState, as_binary_matrix, log_joint
 from .rjmcmc import FiniteState, ShiftedPoissonK, rjmcmc_sweep
@@ -121,7 +121,7 @@ def _trace_record(iteration, state, X, wall_ms=None) -> TraceRecord:
 
 def step(
     state: SamplerState, X, rng: np.random.Generator, infer_hypers: bool = False,
-    mh_step: float = 0.05,
+    mh_step: float = MH_STEP,
 ) -> tuple[bool, bool]:
     """One iteration: an ``rjmcmc_sweep`` for a finite state, else a
     ``gibbs_sweep``, then inferred hyperparameters in the order lam,
@@ -149,7 +149,7 @@ def run_chain(
     rng: np.random.Generator | None = None,
     init: str = "empty",
     infer_hypers: bool = False,
-    mh_step: float = 0.05,
+    mh_step: float = MH_STEP,
     k_prior=None,
     predictive: bool = True,
     duplicate_row_factor: bool = False,

@@ -19,7 +19,9 @@ from hiddencauses import (
 from hiddencauses import experiments
 from hiddencauses.harness import Dataset
 from hiddencauses.runner import _trace_record, default_k_prior, initial_state, step
-from hiddencauses.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, main
+from hiddencauses.cli import (
+    EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, build_parser, main,
+)
 
 PARAMS = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=1.0)
 X_SMALL = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int8)
@@ -577,6 +579,29 @@ class TestCliReplicate:
         out = tmp_path / "D"
         assert main(["replicate", figure, "--out", str(out), flag, value]) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("figure,flag,value", [
+        ("fig3", "--checkpoints", "5"),
+        ("fig3", "--structures", "degree1"),
+        ("fig4", "--k-range", "2"),
+        ("fig4", "--n", "4"),
+    ])
+    def test_other_figures_flag_is_usage_error(self, tmp_path, capsys, figure, flag, value):
+        """Each figure parses only its own settings; the other figure's
+        were once accepted and ignored."""
+        out = tmp_path / "D"
+        argv = ["replicate", figure, "--out", str(out), "--datasets", "1",
+                "--iterations", "1", flag, value]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+        assert not out.exists()
+
+    def test_figure_defaults(self):
+        fig3 = build_parser().parse_args(["replicate", "fig3", "--out", "x"])
+        assert fig3.t == 500 and fig3.inits == ["empty", "random10"]
+        fig4 = build_parser().parse_args(["replicate", "fig4", "--out", "x"])
+        assert fig4.t == 150 and fig4.inits == ["empty"] and fig4.checkpoints is None
 
     def test_worker_count_clamped_by_runs_and_cores(self, monkeypatch):
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
