@@ -105,10 +105,11 @@ def read_dataset_bundle(path) -> Dataset:
 
 
 def load_observations(path) -> np.ndarray:
-    """Read an observation matrix from a CSV file or a bundle directory."""
+    """Read an observation matrix from a CSV file or a bundle directory's
+    X.csv; a bundle's ground-truth files are not read."""
     p = Path(path)
     if p.is_dir():
-        return read_dataset_bundle(p).X
+        p /= "X.csv"
     if not p.exists():
         raise FileNotFoundError(str(p))
     X = read_matrix_csv(p)

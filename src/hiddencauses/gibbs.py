@@ -6,14 +6,23 @@ whose only edge is at row i are zeroed and replaced by a Poisson-weighted
 draw of fresh singleton columns whose activations have been summed out of
 the likelihood.  A full pass over Y and a compaction of empty columns
 finish the sweep.
+
+An activation row whose cause links one or two rows (every fresh cause,
+and most causes on long data) gathers its on-probabilities from
+``shared_y_on_prob_table``, keyed on (lam, epsilon, p, K): the table
+applies the summed log-odds' floating-point operations in their order,
+so the draws are those of the summed path, which causes with three or
+more rows keep.  Each Y pass looks its tables and log p up once.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from .model import DegenerateModelError, SamplerState, flat_index, shared_log_pmf_table
+from .model import (DegenerateModelError, SamplerState, flat_index, log_p_pair,
+                    shared_log_pmf_table, shared_y_on_prob_table)
 
 MAX_NEW_CAUSES = 10  # truncation of the per-row Poisson draw of fresh columns
 
@@ -123,24 +132,43 @@ def sample_new_causes(
             [state.column_sums, np.ones(k_new, dtype=np.int64)]
         )
         state.Y = np.concatenate([state.Y, np.zeros((k_new, t), dtype=np.int8)], axis=0)
+        terms = _y_terms(state)
         for j in range(state.Y.shape[0] - k_new, state.Y.shape[0]):
-            resample_y_row(state, j, X, rng.random(t))
+            resample_y_row(state, j, X, rng.random(t), terms)
     return k_new
 
 
-def _log_p(p: float) -> tuple[float, float]:
-    """(log p, log(1 - p)), -inf at the ends of [0, 1]."""
-    with np.errstate(divide="ignore"):
-        return float(np.log(p)), float(np.log1p(-p))
+class _YTerms(NamedTuple):
+    """What every activation draw of a Y pass reads, looked up once."""
+
+    log_p1: float
+    log_p0: float
+    log_pmf: np.ndarray  # shared_log_pmf_table, raveled
+    on_prob: np.ndarray  # shared_y_on_prob_table
+    degenerate: bool  # on_prob holds a NaN
 
 
-def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) -> np.ndarray:
+def _y_terms(state: SamplerState) -> _YTerms:
+    """The lookups of a Y pass under the state's parameters and K.
+
+    Unless ``degenerate``, no activation draw meets both states at zero
+    mass, whatever its number of rows: no log term is +inf, so that takes
+    a -inf on each side, and the table entry of the two rows (or of one
+    row and none) that carry them would be NaN."""
+    params = state.params
+    on_prob = shared_y_on_prob_table(params.lam, params.epsilon, params.p, state.k)
+    return _YTerms(*log_p_pair(params.p),
+                   shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel(),
+                   on_prob, bool(np.isnan(on_prob).any()))
+
+
+def _y_conditional_log_odds(
+    state: SamplerState, k: int, X, rows: np.ndarray, terms: _YTerms | None = None
+) -> np.ndarray:
     """Log-odds of y[k, t] = 1 for all trials at once (trials are
     conditionally independent given the rest of the state); rows are the
     rows of Z linked to cause k."""
-    params = state.params
-    log_p1, log_p0 = _log_p(params.p)
-    table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
+    log_p1, log_p0, table, _, degenerate = terms or _y_terms(state)
     idx = flat_index(X[rows], state.counts[rows], state.k)
     idx -= state.Y[k]
     ll0 = table.take(idx).sum(axis=0)
@@ -148,20 +176,38 @@ def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) ->
     ll1 = table.take(idx).sum(axis=0)
     logw1 = log_p1 + ll1
     logw0 = log_p0 + ll0
-    if (np.isneginf(logw1) & np.isneginf(logw0)).any():
+    if degenerate and (np.isneginf(logw1) & np.isneginf(logw0)).any():
         raise DegenerateModelError("both states of an activation draw have zero mass")
     return logw1 - logw0
 
 
-def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray) -> None:
+def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray,
+                   terms: _YTerms | None = None) -> None:
     """One Gibbs pass over y[k, :], vectorized across trials, from the T
-    uniforms u; the per-entry update would draw the same ones in order."""
+    uniforms u; the per-entry update would draw the same ones in order.
+
+    A cause linked to one or two rows gathers its on-probabilities from
+    ``shared_y_on_prob_table``, one entry per trial; any other sums its
+    rows' log-likelihoods.  terms are the pass's ``_y_terms``."""
+    terms = terms or _y_terms(state)
     rows = state.Z[:, k].nonzero()[0]
-    delta = _y_conditional_log_odds(state, k, X, rows)
-    new = (u < expit(delta)).astype(np.int8)
-    diff = new.astype(np.int32) - state.Y[k].astype(np.int32)
+    if 0 < rows.size <= 2:
+        idx = flat_index(X[rows], state.counts[rows], state.k)
+        idx -= state.Y[k]
+        if rows.size == 1:  # table row K pairs the row with none
+            prob = terms.on_prob[state.k].take(idx[0])
+        else:
+            pair = idx[1] * terms.on_prob.shape[0]
+            pair += idx[0]
+            prob = terms.on_prob.take(pair)
+        if terms.degenerate and np.isnan(prob).any():
+            raise DegenerateModelError("both states of an activation draw have zero mass")
+    else:
+        prob = expit(_y_conditional_log_odds(state, k, X, rows, terms))
+    new = u < prob
+    diff = new - state.Y[k]
     if rows.size and diff.any():
-        state.counts[rows] += diff[None, :]
+        state.counts[rows] += diff
     state.Y[k] = new
 
 
@@ -171,13 +217,13 @@ def resample_all_y(state: SamplerState, X, rng: np.random.Generator) -> None:
     Linked rows go in index order; an unlinked row draws from its prior
     alone and moves no count, so all of them take one comparison."""
     u = rng.random((state.k, state.n_trials))
+    terms = _y_terms(state)
     linked = state.column_sums > 0
     for k in linked.nonzero()[0]:
-        resample_y_row(state, k, X, u[k])
+        resample_y_row(state, k, X, u[k], terms)
     if not linked.all():
-        log_p1, log_p0 = _log_p(state.params.p)
         unlinked = ~linked
-        state.Y[unlinked] = u[unlinked] < expit(log_p1 - log_p0)
+        state.Y[unlinked] = u[unlinked] < expit(terms.log_p1 - terms.log_p0)
 
 
 def compact_state(state: SamplerState) -> SamplerState:

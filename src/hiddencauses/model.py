@@ -23,6 +23,8 @@ every (x, count) pair up to a cap.  ``shared_log_pmf_table`` builds that
 table once per (lam, epsilon, cap) and hands out the same read-only
 array, and the samplers, the MH step and the trace gather their
 likelihood terms from it by flat index x (cap + 1) + count.
+``shared_y_on_prob_table`` turns it into the on-probability of an
+activation whose cause links one or two rows, per pair of flat indices.
 """
 
 import math
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import expit, gammaln, xlogy
 
 
 class DegenerateModelError(RuntimeError):
@@ -126,6 +128,37 @@ def shared_log_pmf_table(lam: float, epsilon: float, c_max: int, p=None, max_new
     table = log_pmf_table(lam, epsilon, c_max, extra)
     table.flags.writeable = False
     return table
+
+
+def log_p_pair(p: float) -> tuple[float, float]:
+    """(log p, log(1 - p)), -inf at the ends of [0, 1]."""
+    with np.errstate(divide="ignore"):
+        return float(np.log(p)), float(np.log1p(-p))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def shared_y_on_prob_table(lam: float, epsilon: float, p: float, c_max: int):
+    """P(y = 1 | rest) for an activation whose cause links one or two
+    rows, built once per key, read-only, shape (2 c_max + 2, 2 c_max + 2).
+
+    Entry [b, a] belongs to rows whose flat indices (see ``flat_index``)
+    are a and b, taken with the cause's own activation left out, so
+    count <= c_max - 1.  Index c_max (x = 0, count = c_max) is never a
+    row's and holds log-likelihood 0 in both states, so row c_max serves a
+    cause with one row: L + 0.0 == L.  Every entry applies the floating-
+    point operations of the summed log-odds in their order, so it equals
+    expit of them bit for bit; NaN marks both states at zero mass.
+    """
+    table = shared_log_pmf_table(lam, epsilon, c_max)
+    off, on = np.zeros_like(table), np.zeros_like(table)
+    off[:, :-1] = table[:, :-1]
+    on[:, :-1] = table[:, 1:]
+    off, on = off.ravel(), on.ravel()
+    log_p1, log_p0 = log_p_pair(p)
+    with np.errstate(invalid="ignore"):  # -inf - -inf is the NaN wanted
+        prob = expit((log_p1 + (on[:, None] + on)) - (log_p0 + (off[:, None] + off)))
+    prob.flags.writeable = False
+    return prob
 
 
 def flat_index(x, counts, c_max: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import gammaln, xlogy
+from scipy.special import expit, gammaln, xlogy
 
 from helpers import (
     check_consistency,
@@ -37,10 +37,12 @@ from hiddencauses.gibbs import (
     sample_new_causes,
 )
 from hiddencauses.model import (
+    flat_index,
     log_likelihood_from_counts,
     log_pmf_noisy_or,
     log_pmf_table,
     shared_log_pmf_table,
+    shared_y_on_prob_table,
 )
 from hiddencauses.rjmcmc import birth_acceptance, death_acceptance, finite_conditional_z
 
@@ -138,6 +140,26 @@ def _z_log_weights(state, i, k, X):
     return seen[0]
 
 
+def _on_prob_gather(state, k, X, rows):
+    """What cause k (one or two rows) reads from the on-probability table:
+    entry [b, a] for the rows' flat indices a and b, [K, a] for one row."""
+    params = state.params
+    table = shared_y_on_prob_table(params.lam, params.epsilon, params.p, state.k)
+    idx = flat_index(X[rows], state.counts[rows], state.k) - state.Y[k]
+    return table[idx[1] if rows.size == 2 else state.k, idx[0]]
+
+
+def _elementwise_log_weights(state, k, X, rows):
+    """(logw1, logw0) of y[k, :] from the elementwise kernel."""
+    params = state.params
+    base = state.counts[rows] - state.Y[k]
+    with np.errstate(divide="ignore"):
+        log_p1, log_p0 = float(np.log(params.p)), float(np.log1p(-params.p))
+    ll1 = log_pmf_noisy_or(X[rows], base + 1, params.lam, params.epsilon).sum(axis=0)
+    ll0 = log_pmf_noisy_or(X[rows], base, params.lam, params.epsilon).sum(axis=0)
+    return log_p1 + ll1, log_p0 + ll0
+
+
 def _assert_gathers_match_elementwise(state, X):
     params = state.params
     lam, eps = params.lam, params.epsilon
@@ -153,15 +175,11 @@ def _assert_gathers_match_elementwise(state, X):
     for k in range(state.k):
         rows = state.Z[:, k].nonzero()[0]
         got = gibbs._y_conditional_log_odds(state, k, X, rows)
-        log_p1, log_p0 = float(np.log(params.p)), float(np.log1p(-params.p))
-        if rows.size:
-            base = state.counts[rows] - state.Y[k]
-            ll1 = log_pmf_noisy_or(X[rows], base + 1, lam, eps).sum(axis=0)
-            ll0 = log_pmf_noisy_or(X[rows], base, lam, eps).sum(axis=0)
-            want = (log_p1 + ll1) - (log_p0 + ll0)
-        else:
-            want = np.full(state.n_trials, log_p1 - log_p0)
+        logw1, logw0 = _elementwise_log_weights(state, k, X, rows)
+        want = logw1 - logw0
         np.testing.assert_array_equal(got, want)
+        if 0 < rows.size <= 2:
+            np.testing.assert_array_equal(_on_prob_gather(state, k, X, rows), expit(want))
     ks = np.arange(MAX_NEW_CAUSES + 1)
     log_rate, log_fact = xlogy(ks, params.alpha / n), gammaln(ks + 1.0)
     extra = xlogy(ks, 1.0 - lam * params.p)
@@ -234,9 +252,11 @@ class TestSharedTables:
             _assert_gathers_match_elementwise(state, X)
 
     def test_shared_tables_are_read_only(self):
-        for args in ((0.9, 0.01, 4), (0.9, 0.01, 4, 0.1, MAX_NEW_CAUSES)):
-            table = shared_log_pmf_table(*args)
-            assert shared_log_pmf_table(*args) is table
+        for build, args in ((shared_log_pmf_table, (0.9, 0.01, 4)),
+                            (shared_log_pmf_table, (0.9, 0.01, 4, 0.1, MAX_NEW_CAUSES)),
+                            (shared_y_on_prob_table, (0.9, 0.01, 0.1, 4))):
+            table = build(*args)
+            assert build(*args) is table
             with pytest.raises(ValueError):
                 table[..., 0, 0] = 0.0
             with pytest.raises(ValueError):
@@ -385,6 +405,98 @@ class TestPassesMatchReference:
             assert got == want
             _assert_same_state(state, ref)
             check_consistency(state)
+
+
+# ---------------------------------------------------------------------------
+# the on-probability table of causes that link one or two rows
+# ---------------------------------------------------------------------------
+
+
+# (epsilon, lam, p) at the ends of their ranges, beside inside values
+BOUNDARY_PARAMS = [(eps, lam, p) for eps in (0.0, 0.05) for lam in (0.0, 0.7, 1.0)
+                   for p in (0.0, 0.3, 1.0)]
+
+
+class TestOnProbTable:
+    @given(case=matrices(min_k=1))
+    def test_table_equals_summed_path(self, case):
+        """Bit for bit, a one- or two-row cause's tabulated on-probability
+        is expit of the summed log-odds, and NaN on exactly the trials
+        where the summed path finds both states at zero mass.  A cause
+        with any number of rows that raises finds the table degenerate."""
+        Z, Y, X, drawn = case
+        for eps, lam, p in [(drawn.epsilon, drawn.lam, drawn.p)] + BOUNDARY_PARAMS:
+            state = SamplerState.from_matrices(Z, Y, drawn.replace(epsilon=eps, lam=lam, p=p))
+            for k in range(state.k):
+                rows = state.Z[:, k].nonzero()[0]
+                logw1, logw0 = _elementwise_log_weights(state, k, X, rows)
+                zero_mass = np.isneginf(logw1) & np.isneginf(logw0)
+                if zero_mass.any():
+                    assert gibbs._y_terms(state).degenerate
+                    with pytest.raises(DegenerateModelError):
+                        gibbs._y_conditional_log_odds(state, k, X, rows)
+                    with np.errstate(invalid="ignore"):
+                        want = expit(logw1 - logw0)
+                else:
+                    want = expit(gibbs._y_conditional_log_odds(state, k, X, rows))
+                if 0 < rows.size <= 2:
+                    got = _on_prob_gather(state, k, X, rows)
+                    np.testing.assert_array_equal(np.isnan(got), zero_mass)
+                    np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# long T: the drawn states above have T <= 10
+# ---------------------------------------------------------------------------
+
+
+LONG_PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=3.0)
+
+
+def _long_state():
+    """6 x 5000: causes that link rows {0}, {1}, {2, 3}, {4, 5} and
+    {0, 2, 4}, and one that links none."""
+    rng = np.random.default_rng(2024)
+    Z = np.zeros((6, 6), dtype=np.int8)
+    for k, rows in enumerate(([0], [1], [2, 3], [4, 5], [0, 2, 4])):
+        Z[rows, k] = 1
+    Y = (rng.random((6, 5000)) < 0.1).astype(np.int8)
+    X = (rng.random((6, 5000)) < 0.3).astype(np.int8)
+    return SamplerState.from_matrices(Z, Y, LONG_PARAMS), X
+
+
+def _summed_y_row(state, k, X, u, terms=None):
+    """A Y-row update that draws u < expit of the summed log-odds."""
+    rows = state.Z[:, k].nonzero()[0]
+    new = (u < expit(gibbs._y_conditional_log_odds(state, k, X, rows))).astype(np.int8)
+    state.counts[rows] += new - state.Y[k]
+    state.Y[k] = new
+
+
+class TestLongRows:
+    def test_y_pass_matches_per_row_loop(self):
+        state, X = _long_state()
+        ref, _ = _long_state()
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        resample_all_y(state, X, rng)
+        reference_resample_all_y(ref, X, ref_rng)
+        _assert_same_state(state, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        check_consistency(state)
+
+    def test_fresh_rows_match_summed_draws(self):
+        state, X = _long_state()
+        ref, _ = _long_state()
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        added = 0
+        for i in range(state.n_rows):
+            added += sample_new_causes(state, i, X, rng)
+            with mock.patch.object(gibbs, "resample_y_row", _summed_y_row):
+                sample_new_causes(ref, i, X, ref_rng)
+            _assert_same_state(state, ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert added > 0
+        check_consistency(state)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,25 @@ class TestCliFit:
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sampler", ["gibbs", "rjmcmc"])
+    def test_empty_bundle_is_data_error(self, tmp_path, capsys, sampler):
+        bundle = _generate(tmp_path)
+        (bundle / "X.csv").write_text("# no rows\n")
+        code = main(["fit", "--data", str(bundle), "--out", str(tmp_path / "o"),
+                     "--sampler", sampler])
+        assert code == EXIT_DATA
+        assert "no observation rows" in capsys.readouterr().err
+
+    def test_fit_reads_only_the_bundles_x(self, tmp_path):
+        """fit needs X alone, so truth files that disagree with it are not
+        an error."""
+        bundle = _generate(tmp_path)
+        (bundle / "Z.csv").write_text("1\n")
+        (bundle / "params.json").write_text("{}")
+        code = main(["fit", "--data", str(bundle), "--out", str(tmp_path / "o"),
+                     "--iterations", "2"])
+        assert code == EXIT_OK
+
     def test_degenerate_params_exit_code(self, tmp_path, capsys):
         # with no leak and no transmission, an observed 1 has zero mass
         # under every number of fresh causes
