@@ -321,6 +321,8 @@ def cmd_fit(args) -> int:
         fh.write("\n")
     if final.Z.size:
         dataio.write_matrix_csv(out / "Z_final.csv", final.Z)
+    else:  # no cause left: an earlier fit's Z must not stay beside this summary
+        (out / "Z_final.csv").unlink(missing_ok=True)
     np.savetxt(out / "zzt.csv", summary.mean_zzt, delimiter=",", fmt="%.10g")
     print(f"fit complete: E[K+] = {summary.mean_kplus:.3f} over "
           f"{summary.sample_count} retained iterations; outputs in {out}")

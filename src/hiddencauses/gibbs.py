@@ -7,6 +7,14 @@ draw of fresh singleton columns whose activations have been summed out of
 the likelihood.  A full pass over Y and a compaction of empty columns
 finish the sweep.
 
+Y changes only in that end-of-sweep pass and in the fresh rows a
+``sample_new_causes`` draw appends, so a sweep scans each activation row
+for its active trials once, appends the fresh causes' lists, and hands
+cause k's list to every z entry on k and to row i's singleton removal.
+The fresh-cause weights read row i through the histogram of its flat
+table index: 2(K+1) bins, one product with the fresh-cause table, where
+T runs to thousands of trials.
+
 An activation row whose cause links one or two rows (every fresh cause,
 and most causes on long data) gathers its on-probabilities from
 ``shared_y_on_prob_table``, keyed on (lam, epsilon, p, K): the table
@@ -35,16 +43,16 @@ def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int
 
 
 def _sample_z_given_theta(
-    state: SamplerState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator,
-    theta_bar: float,
+    state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
+    rng: np.random.Generator, theta_bar: float,
 ) -> int:
     """Two-point draw of z[i, k] with prior weight theta_bar on 1.
 
     row_idx is ``flat_index(X[i], state.counts[i], state.k)``; a flip
-    updates it along with the counts."""
+    updates it along with the counts.  active is ``state.Y[k].nonzero()[0]``,
+    the trials on which cause k is active."""
     params = state.params
     old = int(state.Z[i, k])
-    active = state.Y[k].nonzero()[0]
     if active.size:
         # Z Y <= K, so a table up to K covers every count
         table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
@@ -68,17 +76,19 @@ def _sample_z_given_theta(
 
 
 def gibbs_sample_z_entry(
-    state: SamplerState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator
+    state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
+    rng: np.random.Generator,
 ) -> int:
     """Resample z[i, k] given everything else, for a column some other row
     still uses (m_minus > 0).  The prior weight on z = 1 is m_minus / N.
-    row_idx is row i's flat table index (see ``_sample_z_given_theta``).
+    row_idx is row i's flat table index and active cause k's active
+    trials (see ``_sample_z_given_theta``).
     """
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     if m_minus <= 0:
         raise ValueError("column is a singleton of row i; handled by sample_new_causes")
     theta_bar = m_minus / state.n_rows
-    return _sample_z_given_theta(state, i, k, row_idx, rng, theta_bar)
+    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar)
 
 
 def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
@@ -93,16 +103,22 @@ def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
 
 
 def _fresh_cause_log_weights(state: SamplerState, i: int, X, max_new: int) -> np.ndarray:
-    """Unnormalized log-probabilities of k = 0..max_new fresh causes at row i."""
+    """Unnormalized log-probabilities of k = 0..max_new fresh causes at row i.
+
+    Row i's likelihood depends on its trials only through the histogram
+    of their (x, count) pairs, so it is one product of that histogram with
+    the fresh-cause table, summed bin by bin in ascending flat index.  Only
+    occupied bins enter the product: an empty bin at a -inf entry would
+    add 0 * -inf = NaN."""
     params = state.params
     ks = np.arange(max_new + 1, dtype=np.float64)
     # table[k, x, c]: k fresh causes, their activations summed out
     table = shared_log_pmf_table(params.lam, params.epsilon, state.k, params.p, max_new)
-    idx = flat_index(X[i], state.counts[i], state.k)
-    # gathered trial-major (the layout of table[:, x, c]) so that the sum
-    # over trials adds in the same order
-    per_trial = table.reshape(max_new + 1, -1).T.take(idx, axis=0).T
-    return per_trial.sum(axis=1) + xlogy(ks, params.alpha / state.n_rows) - gammaln(ks + 1.0)
+    hist = np.bincount(flat_index(X[i], state.counts[i], state.k), minlength=2 * (state.k + 1))
+    seen = hist.nonzero()[0]
+    # one row per occupied bin: a sum over axis 0 adds the rows in order
+    loglik = (table.reshape(max_new + 1, -1).T[seen] * hist[seen, None]).sum(axis=0)
+    return loglik + xlogy(ks, params.alpha / state.n_rows) - gammaln(ks + 1.0)
 
 
 def sample_new_causes(
@@ -242,24 +258,25 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
     draw fresh causes; then resample all of Y and compact.
 
     Columns appended while processing earlier rows are visited by later
-    rows; compaction happens only at the end of the sweep.
+    rows; compaction happens only at the end of the sweep.  active[k]
+    holds cause k's active trials for the whole sweep.
     """
+    active = [y.nonzero()[0] for y in state.Y]
     for i in range(state.n_rows):
         k_at_entry = state.Z.shape[1]
         row_idx = flat_index(X[i], state.counts[i], state.k)
         singletons = []
         for k in range(k_at_entry):
             if state.column_sums[k] - state.Z[i, k] > 0:
-                gibbs_sample_z_entry(state, i, k, row_idx, rng)
+                gibbs_sample_z_entry(state, i, k, row_idx, active[k], rng)
             else:
                 singletons.append(k)
         for k in singletons:
             if state.Z[i, k]:
                 state.Z[i, k] = 0
                 state.column_sums[k] -= 1
-                active = state.Y[k].nonzero()[0]
-                if active.size:
-                    state.counts[i, active] -= 1
-        sample_new_causes(state, i, X, rng)
+                state.counts[i, active[k]] -= 1
+        k_new = sample_new_causes(state, i, X, rng)
+        active.extend(y.nonzero()[0] for y in state.Y[state.k - k_new:])
     resample_all_y(state, X, rng)
     return compact_state(state)

@@ -233,12 +233,14 @@ def finite_conditional_z(
     state: FiniteState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator
 ) -> int:
     """Resample z[i, k] under the finite prior (valid for m_minus = 0);
-    row_idx is row i's flat table index (see ``_sample_z_given_theta``)."""
+    row_idx is row i's flat table index (see ``_sample_z_given_theta``).
+    Y is redrawn after every row, so cause k's active trials are scanned
+    here."""
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     theta_bar = finite_theta_bar(
         m_minus, state.n_rows, state.k, state.params.alpha, state.predictive
     )
-    return _sample_z_given_theta(state, i, k, row_idx, rng, theta_bar)
+    return _sample_z_given_theta(state, i, k, row_idx, state.Y[k].nonzero()[0], rng, theta_bar)
 
 
 def finite_gibbs_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:

@@ -7,12 +7,15 @@ vectorized ``resample_y_row`` must reproduce draw for draw.
 gather and the per-row Y pass as they were before the samplers kept one
 flat index per row and drew one block of uniforms per Y pass; the
 samplers must still match them draw for draw.
+``reference_fresh_cause_log_weights`` builds the fresh-cause weights from
+the elementwise kernel, one term per distinct (x, count) pair in the order
+of the histogram the sampler sums over.
 """
 
 import math
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, gammaln, xlogy
 
 from hiddencauses.gibbs import _two_point_draw
 from hiddencauses.model import (
@@ -119,3 +122,19 @@ def reference_resample_all_y(state: SamplerState, X, rng: np.random.Generator) -
         if rows.size and diff.any():
             state.counts[rows] += diff[None, :]
         state.Y[k] = new
+
+
+def reference_fresh_cause_log_weights(state: SamplerState, i: int, X, max_new: int) -> np.ndarray:
+    """Log-weights of k = 0..max_new fresh causes at row i: the elementwise
+    log-probability of each distinct (x, count) pair of the row times the
+    number of trials that carry it, added pair by pair, ascending by x
+    then count."""
+    params = state.params
+    ks = np.arange(max_new + 1, dtype=np.float64)
+    pairs, n_trials = np.unique(np.stack([X[i], state.counts[i]]), axis=1, return_counts=True)
+    extra = xlogy(ks, 1.0 - params.lam * params.p)[:, None]
+    per_pair = log_pmf_noisy_or(pairs[0], pairs[1], params.lam, params.epsilon, extra)
+    loglik = np.zeros(max_new + 1)
+    for term, n in zip(per_pair.T, n_trials):
+        loglik += term * n
+    return loglik + xlogy(ks, params.alpha / state.n_rows) - gammaln(ks + 1.0)

@@ -44,7 +44,8 @@ class TestZEntryConditional:
         state = _two_cause_state()
         rng = np.random.default_rng(seed)
         row_idx = row_index(state, 0, X)  # each flip updates it
-        hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, rng) for _ in range(n_draws))
+        active = state.Y[0].nonzero()[0]
+        hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng) for _ in range(n_draws))
         check_consistency(state)
         return hits / n_draws
 
@@ -71,8 +72,9 @@ class TestZEntryConditional:
         state = SamplerState.from_matrices(Z, Y, PARAMS)
         X = np.array([[1, 1], [1, 1]], dtype=np.int8)
         rng = np.random.default_rng(2)
-        row_idx = row_index(state, 0, X)
-        freq = np.mean([gibbs_sample_z_entry(state, 0, 0, row_idx, rng) for _ in range(20_000)])
+        row_idx, active = row_index(state, 0, X), state.Y[0].nonzero()[0]
+        draws = [gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng) for _ in range(20_000)]
+        freq = np.mean(draws)
         assert abs(freq - 0.5) < 4 * math.sqrt(0.25 / 20_000)
 
     def test_singleton_column_rejected(self):
@@ -81,8 +83,9 @@ class TestZEntryConditional:
         Y = np.array([[1, 0]], dtype=np.int8)
         state = SamplerState.from_matrices(Z, Y, PARAMS)
         row_idx = row_index(state, 0, np.zeros((2, 2), dtype=np.int8))
+        active = state.Y[0].nonzero()[0]
         with pytest.raises(ValueError):
-            gibbs_sample_z_entry(state, 0, 0, row_idx, np.random.default_rng(0))
+            gibbs_sample_z_entry(state, 0, 0, row_idx, active, np.random.default_rng(0))
 
 
 class TestYEntryConditional:

@@ -15,6 +15,7 @@ from scipy.special import expit, gammaln, xlogy
 
 from helpers import (
     check_consistency,
+    reference_fresh_cause_log_weights,
     reference_resample_all_y,
     reference_z_entry,
     row_index,
@@ -108,7 +109,8 @@ class TestCachesUnderMoves:
             i, k = a % n, b % state.k
             if move == "z":
                 if state.column_sums[k] - state.Z[i, k] > 0:
-                    gibbs_sample_z_entry(state, i, k, row_index(state, i, X), rng)
+                    gibbs_sample_z_entry(state, i, k, row_index(state, i, X),
+                                         state.Y[k].nonzero()[0], rng)
                 else:
                     finite_conditional_z(state, i, k, row_index(state, i, X), rng)
             elif move == "fresh":
@@ -136,7 +138,8 @@ def _z_log_weights(state, i, k, X):
         return int(state.Z[i, k])  # keep z: the state stays as it is
 
     with mock.patch.object(gibbs, "_two_point_draw", record):
-        gibbs._sample_z_given_theta(state, i, k, row_index(state, i, X), None, 0.5)
+        gibbs._sample_z_given_theta(state, i, k, row_index(state, i, X),
+                                    state.Y[k].nonzero()[0], None, 0.5)
     return seen[0]
 
 
@@ -182,14 +185,10 @@ def _assert_gathers_match_elementwise(state, X):
             np.testing.assert_array_equal(_on_prob_gather(state, k, X, rows), expit(want))
     ks = np.arange(MAX_NEW_CAUSES + 1)
     log_rate, log_fact = xlogy(ks, params.alpha / n), gammaln(ks + 1.0)
-    extra = xlogy(ks, 1.0 - lam * params.p)
     for i in range(n):
         got = gibbs._fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
-        # per_trial[t, k]; its [k, t] transpose sums over trials in the
-        # order sample_new_causes adds them
-        per_trial = log_pmf_noisy_or(X[i][:, None], state.counts[i][:, None], lam, eps, extra)
         np.testing.assert_array_equal(
-            got, per_trial.T.sum(axis=1) + log_rate - log_fact
+            got, reference_fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
         )
         eta = (1.0 - lam) ** state.counts[i]
         want = []
@@ -298,7 +297,7 @@ def _assert_same_state(a, b):
 
 def _reference_passes(X):
     """Patches that run the sweeps on the reference z gather and Y loop."""
-    def z_entry(state, i, k, row_idx, rng, theta_bar):
+    def z_entry(state, i, k, row_idx, active, rng, theta_bar):
         return reference_z_entry(state, i, k, X, rng, theta_bar)
 
     return [mock.patch.object(module, "_sample_z_given_theta", z_entry)
@@ -308,12 +307,14 @@ def _reference_passes(X):
 
 
 def _checked_row_index(X):
-    """A patch that asserts, after every z entry, that the row's flat
-    index still equals one built from the counts."""
+    """A patch that asserts, at every z entry, that the active trials
+    handed over are cause k's, and after it, that the row's flat index
+    still equals one built from the counts."""
     real = gibbs._sample_z_given_theta
 
-    def z_entry(state, i, k, row_idx, rng, theta_bar):
-        new = real(state, i, k, row_idx, rng, theta_bar)
+    def z_entry(state, i, k, row_idx, active, rng, theta_bar):
+        np.testing.assert_array_equal(active, state.Y[k].nonzero()[0])
+        new = real(state, i, k, row_idx, active, rng, theta_bar)
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
         return new
 
@@ -374,8 +375,9 @@ class TestPassesMatchReference:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         row_idx = row_index(state, i, X)
         for k in range(state.k):
+            active = state.Y[k].nonzero()[0]
             try:
-                got = gibbs._sample_z_given_theta(state, i, k, row_idx, rng, thetas[k])
+                got = gibbs._sample_z_given_theta(state, i, k, row_idx, active, rng, thetas[k])
             except DegenerateModelError:
                 with pytest.raises(DegenerateModelError):
                     reference_z_entry(ref, i, k, X, ref_rng, thetas[k])
@@ -391,9 +393,10 @@ class TestPassesMatchReference:
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     @given(case=matrices(min_k=1), seed=st.integers(0, 2**32 - 1))
     def test_sweeps_match_reference_passes(self, sweep, case, seed):
-        """Whole sweeps build each row's index where the z entries need it:
-        the same draws as sweeps on the reference passes, and after every
-        entry the index equals one built from the counts."""
+        """Whole sweeps build each row's index and each cause's active
+        trials where the z entries need them: the same draws as sweeps on
+        the reference passes, the active trials of cause k at every entry,
+        and after it an index equal to one built from the counts."""
         Z, Y, X, params = case
         cls, run = SWEEPS[sweep]
         state = cls.from_matrices(Z, Y, params)
@@ -443,6 +446,35 @@ class TestOnProbTable:
                     got = _on_prob_gather(state, k, X, rows)
                     np.testing.assert_array_equal(np.isnan(got), zero_mass)
                     np.testing.assert_array_equal(got, want)
+
+
+class TestFreshCauseBoundaries:
+    @given(case=matrices())
+    def test_histogram_weights_at_boundaries(self, case):
+        """The histogram weights are never NaN, even where an empty bin
+        holds a -inf entry, and are -inf exactly where the elementwise sum
+        over trials is; a row whose every weight is -inf, and only such a
+        row, makes sample_new_causes refuse."""
+        Z, Y, X, drawn = case
+        ks = np.arange(MAX_NEW_CAUSES + 1)
+        for eps, lam, p in [(drawn.epsilon, drawn.lam, drawn.p)] + BOUNDARY_PARAMS:
+            params = drawn.replace(epsilon=eps, lam=lam, p=p)
+            extra = xlogy(ks, 1.0 - lam * p)
+            for i in range(X.shape[0]):
+                state = SamplerState.from_matrices(Z, Y, params)
+                got = gibbs._fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
+                per_trial = log_pmf_noisy_or(
+                    X[i][:, None], state.counts[i][:, None], lam, eps, extra
+                )
+                zero_mass = np.isneginf(per_trial.sum(axis=0))
+                assert not np.isnan(got).any()
+                np.testing.assert_array_equal(np.isneginf(got), zero_mass)
+                if zero_mass.all():
+                    with pytest.raises(DegenerateModelError):
+                        sample_new_causes(state, i, X, np.random.default_rng(0))
+                else:
+                    sample_new_causes(state, i, X, np.random.default_rng(0))
+                    check_consistency(state)
 
 
 # ---------------------------------------------------------------------------

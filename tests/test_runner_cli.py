@@ -313,6 +313,18 @@ class TestCliFit:
         assert summary["sample_count"] == 30
         assert len(read_trace(out / "trace.jsonl")) == 31
 
+    def test_fit_without_causes_removes_earlier_z(self, tmp_path):
+        """A fit that ends with no cause leaves no Z_final.csv, also where
+        an earlier fit into the same directory wrote one."""
+        bundle = _generate(tmp_path)
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(bundle), "--out", str(out), "--seed", "3"]
+        assert main(argv + ["--init", "random10", "--iterations", "3"]) == EXIT_OK
+        assert (out / "Z_final.csv").exists()
+        assert main(argv + ["--iterations", "0"]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["final"]["kplus"] == 0
+        assert not (out / "Z_final.csv").exists()
+
     def test_timing_flag_adds_wall_ms(self, tmp_path):
         bundle = _generate(tmp_path)
         out = tmp_path / "fit"
