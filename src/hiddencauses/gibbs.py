@@ -11,9 +11,10 @@ Y changes only in that end-of-sweep pass and in the fresh rows a
 ``sample_new_causes`` draw appends, so a sweep scans each activation row
 for its active trials once, appends the fresh causes' lists, and hands
 cause k's list to every z entry on k and to row i's singleton removal.
-The fresh-cause weights read row i through the histogram of its flat
-table index: 2(K+1) bins, one product with the fresh-cause table, where
-T runs to thousands of trials.
+Row i's flat table index is built once per row; the z flips and the
+singleton removal keep it current, and the fresh-cause weights read it
+through its histogram: 2(K+1) bins, one product with the fresh-cause
+table, where T runs to thousands of trials.
 
 An activation row whose cause links one or two rows (every fresh cause,
 and most causes on long data) gathers its on-probabilities from
@@ -102,19 +103,21 @@ def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
     return 1.0 - (1.0 - params.epsilon) * eta * (1.0 - params.lam * params.p) ** k_new
 
 
-def _fresh_cause_log_weights(state: SamplerState, i: int, X, max_new: int) -> np.ndarray:
-    """Unnormalized log-probabilities of k = 0..max_new fresh causes at row i.
+def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray, max_new: int) -> np.ndarray:
+    """Unnormalized log-probabilities of k = 0..max_new fresh causes at row
+    i, whose flat table index ``flat_index(X[i], state.counts[i], state.k)``
+    is row_idx.
 
-    Row i's likelihood depends on its trials only through the histogram
-    of their (x, count) pairs, so it is one product of that histogram with
-    the fresh-cause table, summed bin by bin in ascending flat index.  Only
-    occupied bins enter the product: an empty bin at a -inf entry would
-    add 0 * -inf = NaN."""
+    The row's likelihood depends on its trials only through the histogram
+    of their (x, count) pairs, that is of row_idx, so it is one product of
+    that histogram with the fresh-cause table, summed bin by bin in
+    ascending flat index.  Only occupied bins enter the product: an empty
+    bin at a -inf entry would add 0 * -inf = NaN."""
     params = state.params
     ks = np.arange(max_new + 1, dtype=np.float64)
     # table[k, x, c]: k fresh causes, their activations summed out
     table = shared_log_pmf_table(params.lam, params.epsilon, state.k, params.p, max_new)
-    hist = np.bincount(flat_index(X[i], state.counts[i], state.k), minlength=2 * (state.k + 1))
+    hist = np.bincount(row_idx, minlength=2 * (state.k + 1))
     seen = hist.nonzero()[0]
     # one row per occupied bin: a sum over axis 0 adds the rows in order
     loglik = (table.reshape(max_new + 1, -1).T[seen] * hist[seen, None]).sum(axis=0)
@@ -122,17 +125,20 @@ def _fresh_cause_log_weights(state: SamplerState, i: int, X, max_new: int) -> np
 
 
 def sample_new_causes(
-    state: SamplerState, i: int, X, rng: np.random.Generator, max_new: int = MAX_NEW_CAUSES
+    state: SamplerState, i: int, X, row_idx: np.ndarray, rng: np.random.Generator,
+    max_new: int = MAX_NEW_CAUSES,
 ) -> int:
     """Draw how many fresh causes attach to row i and expand the state.
 
     Weights over k in 0..max_new combine a Poisson(alpha / N) prior with
-    the likelihood of row i after summing out the new activations.  Each
-    accepted cause appends a column with a single 1 at row i and a zero
-    activation row that is then Gibbs-resampled once.
+    the likelihood of row i after summing out the new activations; row_idx
+    is row i's flat table index (see ``_fresh_cause_log_weights``), stale
+    once a cause is added.  Each accepted cause appends a column with a
+    single 1 at row i and a zero activation row that is then
+    Gibbs-resampled once.
     """
     n, t = state.n_rows, state.n_trials
-    logw = _fresh_cause_log_weights(state, i, X, max_new)
+    logw = _fresh_cause_log_weights(state, row_idx, max_new)
     top = logw.max()
     if top == -math.inf:
         raise DegenerateModelError("no feasible number of fresh causes for this row")
@@ -276,7 +282,8 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
                 state.Z[i, k] = 0
                 state.column_sums[k] -= 1
                 state.counts[i, active[k]] -= 1
-        k_new = sample_new_causes(state, i, X, rng)
+                row_idx[active[k]] -= 1
+        k_new = sample_new_causes(state, i, X, row_idx, rng)
         active.extend(y.nonzero()[0] for y in state.Y[state.k - k_new:])
     resample_all_y(state, X, rng)
     return compact_state(state)

@@ -12,7 +12,12 @@ the finite-dimension sampler does not update alpha.
 
 lam and epsilon have no conjugate form: each gets a uniform proposal on
 [cur - step, cur + step], rejected outright outside (0, 1), and accepted
-with the likelihood ratio (the flat prior cancels).
+with the likelihood ratio (the flat prior cancels).  The likelihood
+depends on (Z, Y) only through ``state.counts``, which neither step
+changes, so each step hands on the log-likelihood at the parameters it
+leaves: one iteration of ``runner.step`` evaluates it once at the
+current (lam, epsilon) after the sweep and once per in-range proposal,
+and the trace reads the carried value instead of recomputing Z @ Y.
 """
 
 import math
@@ -42,33 +47,33 @@ def sample_alpha(kplus: int, n_rows: int, rng: np.random.Generator) -> float:
 
 
 def mh_step_rate(
-    name: str, state: SamplerState, X, rng: np.random.Generator, step_size: float = MH_STEP
-) -> tuple[float, bool]:
+    name: str, state: SamplerState, X, rng: np.random.Generator, step_size: float = MH_STEP,
+    ll_cur: float | None = None,
+) -> tuple[float, bool, float]:
     """One Metropolis step on params.lam or params.epsilon.
 
-    Mutates state.params on acceptance.  Returns (current value, accepted).
-    Proposals outside (0, 1) are rejected without an acceptance draw.
+    Mutates state.params on acceptance.  Returns (current value, accepted,
+    ll), where ll is the log-likelihood over ``state.counts`` at the
+    parameters the state holds after the step.  ll_cur is that value before
+    the step, computed here when not given.  Proposals outside (0, 1) are
+    rejected without a likelihood or an acceptance draw.
     """
     if name not in RATE_NAMES:
         raise ValueError(f"name must be one of {RATE_NAMES}, got {name!r}")
     params = state.params
+    if ll_cur is None:
+        ll_cur = log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
     current = getattr(params, name)
     proposal = current + rng.uniform(-step_size, step_size)
     if not 0.0 < proposal < 1.0:
-        return current, False
-
-    def ll(value: float) -> float:
-        lam = value if name == "lam" else params.lam
-        eps = value if name == "epsilon" else params.epsilon
-        return log_likelihood_from_counts(X, state.counts, lam, eps)
-
-    ll_cur = ll(current)
-    ll_new = ll(proposal)
+        return current, False, ll_cur
+    lam, eps = (proposal, params.epsilon) if name == "lam" else (params.lam, proposal)
+    ll_new = log_likelihood_from_counts(X, state.counts, lam, eps)
     if ll_new == -math.inf:
-        return current, False
+        return current, False, ll_cur
     u = rng.random()
     accept = ll_cur == -math.inf or u == 0.0 or math.log(u) < ll_new - ll_cur
     if accept:
         state.params = params.replace(**{name: proposal})
-        return proposal, True
-    return current, False
+        return proposal, True, ll_new
+    return current, False, ll_cur

@@ -247,15 +247,18 @@ def log_prior_Z_finite(Z, k: int, alpha: float) -> float:
     return log_prior_Z_finite_from_sums(Z.sum(axis=0), Z.shape[0], k, alpha)
 
 
-def log_joint(X, Z, Y, params: ModelParams, prior: str = "ibp") -> float:
+def log_joint(X, Z, Y, params: ModelParams, prior: str = "ibp",
+              log_lik: float | None = None) -> float:
     """log P(X, Z, Y) under the chosen prior over Z.
 
     prior="ibp" uses the unbounded-cause prior (Z must have no all-zero
     columns); prior="finite" uses the prior over Z's column count.
+    log_lik, when given, is taken as ``log_likelihood(X, Z, Y, params)``,
+    as a sampler that holds counts = Z @ Y computes it from them.
     """
     from .ibp import log_prior_Z_ibp
 
-    ll = log_likelihood(X, Z, Y, params)
+    ll = log_likelihood(X, Z, Y, params) if log_lik is None else log_lik
     lp_y = log_prior_Y(Y, params.p)
     if prior == "ibp":
         lp_z = log_prior_Z_ibp(Z, params.alpha)

@@ -11,7 +11,8 @@ from .gibbs import gibbs_sweep
 from .harness import PosteriorSummary, SummaryAccumulator
 from .hypers import MH_STEP, mh_step_rate, sample_alpha, sample_p
 from .ibp import harmonic_number
-from .model import ModelParams, SamplerState, as_binary_matrix, log_joint
+from .model import (ModelParams, SamplerState, as_binary_matrix, log_joint,
+                    log_likelihood_from_counts)
 from .rjmcmc import FiniteState, ShiftedPoissonK, rjmcmc_sweep
 
 SAMPLERS = ("gibbs", "rjmcmc")
@@ -110,10 +111,14 @@ def default_k_prior(alpha: float, n_rows: int) -> ShiftedPoissonK:
     return ShiftedPoissonK(mean=alpha * harmonic_number(n_rows))
 
 
-def _trace_record(iteration, state, X, wall_ms=None) -> TraceRecord:
+def _trace_record(iteration, state, X, wall_ms=None, ll=None) -> TraceRecord:
+    """The record of the state as it stands; ll is its log-likelihood when
+    the caller holds it, else it is read from ``state.counts``."""
     prior = "finite" if isinstance(state, FiniteState) else "ibp"
     params = state.params
-    lj = log_joint(X, state.Z, state.Y, params, prior=prior)
+    if ll is None:
+        ll = log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
+    lj = log_joint(X, state.Z, state.Y, params, prior=prior, log_lik=ll)
     return TraceRecord(iteration=iteration, kplus=state.kplus, k=state.k,
                        epsilon=params.epsilon, lam=params.lam, p=params.p,
                        alpha=params.alpha, log_joint=lj, wall_ms=wall_ms)
@@ -122,21 +127,23 @@ def _trace_record(iteration, state, X, wall_ms=None) -> TraceRecord:
 def step(
     state: SamplerState, X, rng: np.random.Generator, infer_hypers: bool = False,
     mh_step: float = MH_STEP,
-) -> tuple[bool, bool]:
+) -> tuple[bool, bool, float | None]:
     """One iteration: an ``rjmcmc_sweep`` for a finite state, else a
     ``gibbs_sweep``, then inferred hyperparameters in the order lam,
     epsilon, p, alpha (the unbounded model's alpha only).  Returns whether
-    the lam and epsilon Metropolis moves were accepted."""
+    the lam and epsilon Metropolis moves were accepted, and the
+    log-likelihood of the final state that the epsilon move hands on
+    (None without inferred hyperparameters); p and alpha do not enter it."""
     finite = isinstance(state, FiniteState)
     (rjmcmc_sweep if finite else gibbs_sweep)(state, X, rng)
     if not infer_hypers:
-        return False, False
-    _, lam_accepted = mh_step_rate("lam", state, X, rng, mh_step)
-    _, eps_accepted = mh_step_rate("epsilon", state, X, rng, mh_step)
+        return False, False, None
+    _, lam_accepted, ll = mh_step_rate("lam", state, X, rng, mh_step)
+    _, eps_accepted, ll = mh_step_rate("epsilon", state, X, rng, mh_step, ll)
     state.params = state.params.replace(p=sample_p(state.Y, rng))
     if not finite:
         state.params = state.params.replace(alpha=sample_alpha(state.kplus, state.n_rows, rng))
-    return lam_accepted, eps_accepted
+    return lam_accepted, eps_accepted, ll
 
 
 def run_chain(
@@ -178,13 +185,13 @@ def run_chain(
     trace = [_trace_record(0, state, X)]
     for it in range(1, iterations + 1):
         tick = time.perf_counter()
-        lam_accepted, eps_accepted = step(state, X, rng, infer_hypers, mh_step)
+        lam_accepted, eps_accepted, ll = step(state, X, rng, infer_hypers, mh_step)
         lam_hits += lam_accepted
         eps_hits += eps_accepted
         if it > burn_in:
             acc.add(state)
         wall = (time.perf_counter() - tick) * 1e3 if timing else None
-        trace.append(_trace_record(it, state, X, wall_ms=wall))
+        trace.append(_trace_record(it, state, X, wall_ms=wall, ll=ll))
         if it in snapshot_at and acc.count:
             snapshots[it] = acc.summary()
     if acc.count == 0:

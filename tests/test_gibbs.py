@@ -207,7 +207,7 @@ class TestSampleNewCauses:
             state = SamplerState.from_matrices(
                 np.zeros((1, 0), dtype=np.int8), np.zeros((0, 1), dtype=np.int8), params
             )
-            tally[sample_new_causes(state, 0, X, rng)] += 1
+            tally[sample_new_causes(state, 0, X, row_index(state, 0, X), rng)] += 1
         got = tally / n_draws
         sigma = np.sqrt(want * (1 - want) / n_draws)
         assert (np.abs(got - want) < 4 * sigma + 1e-4).all()
@@ -220,7 +220,7 @@ class TestSampleNewCauses:
             state = SamplerState.from_matrices(
                 np.zeros((2, 0), dtype=np.int8), np.zeros((0, 3), dtype=np.int8), params
             )
-            k_new = sample_new_causes(state, 1, X, rng)
+            k_new = sample_new_causes(state, 1, X, row_index(state, 1, X), rng)
             assert state.k == k_new
             assert k_new <= MAX_NEW_CAUSES
             if k_new:
@@ -234,8 +234,9 @@ class TestSampleNewCauses:
         state = SamplerState.from_matrices(
             np.zeros((1, 0), dtype=np.int8), np.zeros((0, 1), dtype=np.int8), params
         )
+        X = np.array([[1]], dtype=np.int8)
         with pytest.raises(DegenerateModelError):
-            sample_new_causes(state, 0, np.array([[1]], dtype=np.int8), np.random.default_rng(0))
+            sample_new_causes(state, 0, X, row_index(state, 0, X), np.random.default_rng(0))
 
 
 class TestCompaction:

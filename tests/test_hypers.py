@@ -7,6 +7,7 @@ import pytest
 
 from hiddencauses import ModelParams, SamplerState, sample_alpha, sample_p
 from hiddencauses.hypers import RATE_NAMES, mh_step_rate
+from hiddencauses.model import log_likelihood_from_counts
 
 
 class TestSampleP:
@@ -49,10 +50,35 @@ class TestSampleAlpha:
             sample_alpha(2, 0, rng)
 
 
-def _scalar_state(params):
+def _scalar_state(params, z=1):
     return SamplerState.from_matrices(
-        np.array([[1]], dtype=np.int8), np.array([[1]], dtype=np.int8), params
+        np.array([[z]], dtype=np.int8), np.array([[1]], dtype=np.int8), params
     )
+
+
+class _ScriptedRng:
+    """Hands out a fixed proposal offset and acceptance uniform, and
+    counts the acceptance draws."""
+
+    def __init__(self, offset, u):
+        self.offset, self.u, self.draws = offset, u, 0
+
+    def uniform(self, low, high):
+        return self.offset
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+# name, (epsilon, lam), z, x, proposal offset, uniform, accepted, acceptance draws
+MH_BRANCHES = {
+    "accept": ("lam", (0.2, 0.5), 1, 1, 0.1, 0.5, True, 1),
+    "mh_reject": ("lam", (0.2, 0.5), 1, 1, -0.1, 0.999, False, 1),
+    "out_of_range": ("epsilon", (0.98, 0.5), 1, 1, 0.05, 0.5, False, 0),
+    # eps = 0 and no active cause leave x = 1 impossible at every lam
+    "neg_inf_proposal": ("lam", (0.0, 0.5), 0, 1, 0.1, 0.5, False, 0),
+}
 
 
 class TestMhStepRate:
@@ -68,7 +94,7 @@ class TestMhStepRate:
         rng = np.random.default_rng(26)
         for _ in range(200):
             before = state.params.lam
-            value, accepted = mh_step_rate("lam", state, X, rng)
+            value, accepted, _ = mh_step_rate("lam", state, X, rng)
             assert 0.0 < state.params.lam < 1.0
             if accepted:
                 assert state.params.lam == value
@@ -87,7 +113,7 @@ class TestMhStepRate:
         results = [mh_step_rate("lam", state, X, rng, step_size=0.3) for _ in range(300)]
         # rejections can only come from proposals outside (0, 1), which a
         # step of 0.3 produces less than half the time from any interior point
-        accepted_frac = np.mean([ok for _, ok in results])
+        accepted_frac = np.mean([ok for _, ok, _ in results])
         assert accepted_frac > 0.5
         assert 0.0 < state.params.lam < 1.0
 
@@ -102,7 +128,7 @@ class TestMhStepRate:
         rng = np.random.default_rng(28)
         total, n = 0.0, 20_000
         for _ in range(n):
-            value, _ = mh_step_rate("lam", state, X, rng, step_size=0.2)
+            value, _, _ = mh_step_rate("lam", state, X, rng, step_size=0.2)
             total += state.params.lam
         want = (0.1 + 0.8 / 3.0) / 0.6
         assert abs(total / n - want) < 0.02
@@ -132,8 +158,42 @@ class TestMhStepRate:
         rng = np.random.default_rng(30)
         moved = False
         for _ in range(50):
-            value, accepted = mh_step_rate("epsilon", state, X, rng, step_size=0.1)
+            value, accepted, _ = mh_step_rate("epsilon", state, X, rng, step_size=0.1)
             if accepted:
                 moved = True
                 assert value > 0.0
         assert moved  # -inf current likelihood accepts the first valid jump
+
+    @pytest.mark.parametrize("given_ll", [False, True])
+    @pytest.mark.parametrize("branch", list(MH_BRANCHES))
+    def test_returned_ll_is_the_likelihood_at_the_returned_parameters(self, branch, given_ll):
+        """Every branch returns, bit for bit, the log-likelihood over the
+        counts at the parameters the state holds after the step."""
+        name, (eps, lam), z, x, offset, u, accepted, draws = MH_BRANCHES[branch]
+        state = _scalar_state(ModelParams(epsilon=eps, lam=lam, p=0.3, alpha=1.0), z)
+        X = np.array([[x]], dtype=np.int8)
+        before = log_likelihood_from_counts(X, state.counts, lam, eps)
+        rng = _ScriptedRng(offset, u)
+        value, ok, ll = mh_step_rate(name, state, X, rng, ll_cur=before if given_ll else None)
+        assert (ok, rng.draws) == (accepted, draws)
+        assert value == getattr(state.params, name)
+        params = state.params
+        want = log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
+        assert ll == want
+        assert (ll == before) == (not accepted)
+
+    def test_threaded_ll_follows_a_chain(self):
+        """Handing each step's ll to the next, as runner.step does, keeps it
+        equal to the likelihood at the state's parameters."""
+        rng = np.random.default_rng(31)
+        Z = (rng.random((4, 3)) < 0.5).astype(np.int8)
+        Y = (rng.random((3, 40)) < 0.3).astype(np.int8)
+        X = (rng.random((4, 40)) < 0.4).astype(np.int8)
+        state = SamplerState.from_matrices(Z, Y, ModelParams(0.1, 0.6, 0.3, 1.0))
+        ll, hits = None, 0
+        for j in range(400):
+            _, ok, ll = mh_step_rate(RATE_NAMES[j % 2], state, X, rng, 0.2, ll)
+            hits += ok
+            params = state.params
+            assert ll == log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
+        assert 0 < hits < 400

@@ -28,7 +28,7 @@ from hiddencauses import (
     log_prior_Z_ibp,
     marginal_on_prob,
 )
-from hiddencauses import gibbs, rjmcmc
+from hiddencauses import gibbs, model, rjmcmc, runner
 from hiddencauses.gibbs import (
     MAX_NEW_CAUSES,
     compact_state,
@@ -114,7 +114,7 @@ class TestCachesUnderMoves:
                 else:
                     finite_conditional_z(state, i, k, row_index(state, i, X), rng)
             elif move == "fresh":
-                sample_new_causes(state, i, X, rng)
+                sample_new_causes(state, i, X, row_index(state, i, X), rng)
             elif move == "y":
                 resample_y_row(state, k, X, rng.random(t))
             elif move == "birth" and state.column_sums[k] > 0:
@@ -186,7 +186,7 @@ def _assert_gathers_match_elementwise(state, X):
     ks = np.arange(MAX_NEW_CAUSES + 1)
     log_rate, log_fact = xlogy(ks, params.alpha / n), gammaln(ks + 1.0)
     for i in range(n):
-        got = gibbs._fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
+        got = gibbs._fresh_cause_log_weights(state, row_index(state, i, X), MAX_NEW_CAUSES)
         np.testing.assert_array_equal(
             got, reference_fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
         )
@@ -237,7 +237,7 @@ class TestSharedTables:
             state.params = state.params.replace(lam=lam, epsilon=eps, p=p)
             i, k = a % n, b % state.k
             if move == "fresh":
-                sample_new_causes(state, i, X, rng)
+                sample_new_causes(state, i, X, row_index(state, i, X), rng)
             elif move == "birth" and state.column_sums[k] > 0:
                 birth_acceptance(state, (rng.random(t) < p).astype(np.int8), rng)
             elif move == "death" and state.column_sums[k] == 0:
@@ -296,21 +296,30 @@ def _assert_same_state(a, b):
 
 
 def _reference_passes(X):
-    """Patches that run the sweeps on the reference z gather and Y loop."""
+    """Patches that run the sweeps on the reference z gather and Y loop,
+    and the fresh-cause draw on an index built from the counts."""
+    real_fresh = gibbs.sample_new_causes
+
     def z_entry(state, i, k, row_idx, active, rng, theta_bar):
         return reference_z_entry(state, i, k, X, rng, theta_bar)
+
+    def fresh(state, i, X, row_idx, rng):
+        return real_fresh(state, i, X, row_index(state, i, X), rng)
 
     return [mock.patch.object(module, "_sample_z_given_theta", z_entry)
             for module in (gibbs, rjmcmc)] + [
         mock.patch.object(module, "resample_all_y", reference_resample_all_y)
-        for module in (gibbs, rjmcmc)]
+        for module in (gibbs, rjmcmc)] + [
+        mock.patch.object(gibbs, "sample_new_causes", fresh)]
 
 
 def _checked_row_index(X):
-    """A patch that asserts, at every z entry, that the active trials
-    handed over are cause k's, and after it, that the row's flat index
-    still equals one built from the counts."""
+    """Patches that assert, at every z entry, that the active trials
+    handed over are cause k's, and after it and at every fresh-cause
+    draw, that the row's flat index still equals one built from the
+    counts."""
     real = gibbs._sample_z_given_theta
+    real_fresh = gibbs.sample_new_causes
 
     def z_entry(state, i, k, row_idx, active, rng, theta_bar):
         np.testing.assert_array_equal(active, state.Y[k].nonzero()[0])
@@ -318,8 +327,13 @@ def _checked_row_index(X):
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
         return new
 
+    def fresh(state, i, X, row_idx, rng):
+        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        return real_fresh(state, i, X, row_idx, rng)
+
     return [mock.patch.object(module, "_sample_z_given_theta", z_entry)
-            for module in (gibbs, rjmcmc)]
+            for module in (gibbs, rjmcmc)] + [
+        mock.patch.object(gibbs, "sample_new_causes", fresh)]
 
 
 def _run(sweep, state, X, seed, patches):
@@ -462,7 +476,8 @@ class TestFreshCauseBoundaries:
             extra = xlogy(ks, 1.0 - lam * p)
             for i in range(X.shape[0]):
                 state = SamplerState.from_matrices(Z, Y, params)
-                got = gibbs._fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
+                row_idx = row_index(state, i, X)
+                got = gibbs._fresh_cause_log_weights(state, row_idx, MAX_NEW_CAUSES)
                 per_trial = log_pmf_noisy_or(
                     X[i][:, None], state.counts[i][:, None], lam, eps, extra
                 )
@@ -471,9 +486,9 @@ class TestFreshCauseBoundaries:
                 np.testing.assert_array_equal(np.isneginf(got), zero_mass)
                 if zero_mass.all():
                     with pytest.raises(DegenerateModelError):
-                        sample_new_causes(state, i, X, np.random.default_rng(0))
+                        sample_new_causes(state, i, X, row_idx, np.random.default_rng(0))
                 else:
-                    sample_new_causes(state, i, X, np.random.default_rng(0))
+                    sample_new_causes(state, i, X, row_idx, np.random.default_rng(0))
                     check_consistency(state)
 
 
@@ -522,13 +537,60 @@ class TestLongRows:
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
         added = 0
         for i in range(state.n_rows):
-            added += sample_new_causes(state, i, X, rng)
+            added += sample_new_causes(state, i, X, row_index(state, i, X), rng)
             with mock.patch.object(gibbs, "resample_y_row", _summed_y_row):
-                sample_new_causes(ref, i, X, ref_rng)
+                sample_new_causes(ref, i, X, row_index(ref, i, X), ref_rng)
             _assert_same_state(state, ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert added > 0
         check_consistency(state)
+
+
+# ---------------------------------------------------------------------------
+# the trace: the log-likelihood the rate steps hand on, or the cached counts
+# ---------------------------------------------------------------------------
+
+
+TRACE_ITERATIONS = 8
+
+
+class TestTraceValues:
+    @pytest.mark.parametrize("infer_hypers", [False, True])
+    @pytest.mark.parametrize("sampler", runner.SAMPLERS)
+    def test_log_joint_matches_a_fresh_evaluation(self, sampler, infer_hypers):
+        """Through ``run_chain``'s loop of ``step``, every trace record's
+        log-joint equals ``model.log_joint`` of a copy of that iteration's
+        Z and Y, bit for bit, on 6 x 400 data at
+        every (epsilon, lam, p) of ``BOUNDARY_PARAMS``.  A chain that meets
+        a degenerate draw stops there, and its earlier records are still
+        checked; the one inside every range runs to the end."""
+        rng = np.random.default_rng(2025)
+        X = (rng.random((6, 400)) < 0.3).astype(np.int8)
+        real = runner.log_joint
+        completed = set()
+        for eps, lam, p in BOUNDARY_PARAMS:
+            seen = []
+
+            def snapshot(X, Z, Y, params, **kwargs):
+                want = model.log_joint(X, Z.copy(), Y.copy(), params, prior=kwargs["prior"])
+                seen.append((real(X, Z, Y, params, **kwargs), want))
+                return seen[-1][0]
+
+            params = ModelParams(epsilon=eps, lam=lam, p=p, alpha=1.5)
+            with mock.patch.object(runner, "log_joint", snapshot):
+                try:
+                    result = runner.run_chain(X, sampler=sampler, iterations=TRACE_ITERATIONS,
+                                              params=params, seed=7, init="random10",
+                                              infer_hypers=infer_hypers)
+                except DegenerateModelError:
+                    result = None
+            assert seen
+            for got, want in seen:
+                assert got == want
+            if result is not None:
+                completed.add((eps, lam, p))
+                assert [rec.log_joint for rec in result.trace] == [got for got, _ in seen]
+        assert (0.05, 0.7, 0.3) in completed
 
 
 # ---------------------------------------------------------------------------
