@@ -12,6 +12,7 @@ feasible state).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DEGENERATE = 3
+MAX_TRIES = 100_000  # generate's default rejection budget
 
 
 class UsageError(Exception):
@@ -111,7 +113,7 @@ def build_parser(config=None) -> _Parser:
     g.add_argument("--k-target", type=_nonneg_int, help="true number of causes (with --n)")
     g.add_argument("--t", type=_pos_int, default=500, help="trials")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--max-tries", type=_pos_int, default=100_000, help="rejection budget")
+    g.add_argument("--max-tries", type=_pos_int, default=MAX_TRIES, help="rejection budget")
     _add_param_flags(g)
 
     f = sub.add_parser("fit", help="run one sampler chain")
@@ -189,8 +191,8 @@ def cmd_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     params = _params(args)
     if args.structure is not None:
-        if args.n is not None or args.k_target is not None:
-            raise UsageError("--structure excludes --n/--k-target")
+        if args.n is not None or args.k_target is not None or args.max_tries != MAX_TRIES:
+            raise UsageError("--structure excludes --n/--k-target/--max-tries")
         Z = canonical_structure(args.structure)
         origin = {"structure": args.structure}
     else:
@@ -251,18 +253,39 @@ def _load_config(path, actions) -> dict:
     return settings
 
 
-# fit settings that only the rjmcmc sampler reads
-RJMCMC_ONLY = ("prior_k", "prior_k_mean", "prior_k_q", "k_max",
-               "plain_theta_denominator", "duplicate_row_factor")
+# fit settings that are read only when another setting has a given value:
+# name -> (setting, value)
+READ_UNDER = {
+    "prior_k": ("sampler", "rjmcmc"),
+    "plain_theta_denominator": ("sampler", "rjmcmc"),
+    "duplicate_row_factor": ("sampler", "rjmcmc"),
+    "prior_k_mean": ("prior_k", "poisson"),
+    "prior_k_q": ("prior_k", "geometric"),
+    "k_max": ("prior_k", "uniform"),
+    "mh_step": ("infer_hypers", True),
+}
+
+
+@functools.cache
+def _fit_defaults() -> argparse.Namespace:
+    return build_parser().parse_args(["fit", "--data", "", "--out", ""])
 
 
 def cmd_fit(args) -> int:
-    if args.sampler == "gibbs":
-        builtin = build_parser().parse_args(["fit", "--data", "", "--out", ""])
-        for name in RJMCMC_ONLY:
-            if getattr(args, name) != getattr(builtin, name):
-                raise UsageError(f"--{name.replace('_', '-')} ({name}) applies to "
-                                 f"--sampler rjmcmc only, and gibbs would ignore it")
+    # a setting away from its default, by flag or by config, unless every
+    # condition up its READ_UNDER chain holds: the fit would ignore it, and
+    # summary.json would record it as if it had applied
+    for name in READ_UNDER:
+        if getattr(args, name) == getattr(_fit_defaults(), name):
+            continue
+        needs, read, setting = [], True, name
+        while setting in READ_UNDER:
+            setting, value = READ_UNDER[setting]
+            needs.append(f"--{setting.replace('_', '-')}" + ("" if value is True else f" {value}"))
+            read = read and getattr(args, setting) == value
+        if not read:
+            raise UsageError(f"--{name.replace('_', '-')} ({name}) applies only under "
+                             f"{' and '.join(needs)}, and this fit would ignore it")
     params = _params(args)
     k_prior = None  # None: the chain's default prior over K
     if args.sampler == "rjmcmc" and (args.prior_k != "poisson" or args.prior_k_mean is not None):

@@ -16,24 +16,20 @@ singleton removal keep it current, and the fresh-cause weights read it
 through its histogram: 2(K+1) bins, one product with the fresh-cause
 table, where T runs to thousands of trials.
 
-An activation row whose cause links one or two rows (every fresh cause,
-and most causes on long data) gathers its on-probabilities from
-``shared_y_on_prob_table``, keyed on (lam, epsilon, p, K): the table
-applies the summed log-odds' floating-point operations in their order,
-so the draws are those of the summed path, which causes with three or
-more rows keep.  Each Y pass looks its tables and log p up once.
+Every draw reads its lookups from ``model.draw_tables``, built once per
+(lam, epsilon, p, K).  An activation row whose cause links one or two
+rows (every fresh cause, and most causes on long data) gathers its
+on-probabilities from the bundle's ``on_prob``: the table applies the
+summed log-odds' floating-point operations in their order, so the draws
+are those of the summed path, which causes with three or more rows keep.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from .model import (DegenerateModelError, SamplerState, flat_index, log_p_pair,
-                    shared_log_pmf_table, shared_y_on_prob_table)
-
-MAX_NEW_CAUSES = 10  # truncation of the per-row Poisson draw of fresh columns
+from .model import MAX_NEW_CAUSES, DegenerateModelError, SamplerState, draw_tables, flat_index
 
 
 def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int:
@@ -55,8 +51,7 @@ def _sample_z_given_theta(
     params = state.params
     old = int(state.Z[i, k])
     if active.size:
-        # Z Y <= K, so a table up to K covers every count
-        table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
+        table = draw_tables(params.lam, params.epsilon, params.p, state.k).log_pmf
         idx = row_idx[active]
         idx -= old
         ll0 = float(table.take(idx).sum())
@@ -103,9 +98,9 @@ def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
     return 1.0 - (1.0 - params.epsilon) * eta * (1.0 - params.lam * params.p) ** k_new
 
 
-def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray, max_new: int) -> np.ndarray:
-    """Unnormalized log-probabilities of k = 0..max_new fresh causes at row
-    i, whose flat table index ``flat_index(X[i], state.counts[i], state.k)``
+def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.ndarray:
+    """Unnormalized log-probabilities of k = 0..MAX_NEW_CAUSES fresh causes
+    at row i, whose flat table index ``flat_index(X[i], state.counts[i], state.k)``
     is row_idx.
 
     The row's likelihood depends on its trials only through the histogram
@@ -114,23 +109,21 @@ def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray, max_new: 
     ascending flat index.  Only occupied bins enter the product: an empty
     bin at a -inf entry would add 0 * -inf = NaN."""
     params = state.params
-    ks = np.arange(max_new + 1, dtype=np.float64)
-    # table[k, x, c]: k fresh causes, their activations summed out
-    table = shared_log_pmf_table(params.lam, params.epsilon, state.k, params.p, max_new)
-    hist = np.bincount(row_idx, minlength=2 * (state.k + 1))
+    fresh = draw_tables(params.lam, params.epsilon, params.p, state.k).fresh
+    hist = np.bincount(row_idx, minlength=fresh.shape[1])
     seen = hist.nonzero()[0]
     # one row per occupied bin: a sum over axis 0 adds the rows in order
-    loglik = (table.reshape(max_new + 1, -1).T[seen] * hist[seen, None]).sum(axis=0)
+    loglik = (fresh.T[seen] * hist[seen, None]).sum(axis=0)
+    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
     return loglik + xlogy(ks, params.alpha / state.n_rows) - gammaln(ks + 1.0)
 
 
 def sample_new_causes(
     state: SamplerState, i: int, X, row_idx: np.ndarray, rng: np.random.Generator,
-    max_new: int = MAX_NEW_CAUSES,
 ) -> int:
     """Draw how many fresh causes attach to row i and expand the state.
 
-    Weights over k in 0..max_new combine a Poisson(alpha / N) prior with
+    Weights over k in 0..MAX_NEW_CAUSES combine a Poisson(alpha / N) prior with
     the likelihood of row i after summing out the new activations; row_idx
     is row i's flat table index (see ``_fresh_cause_log_weights``), stale
     once a cause is added.  Each accepted cause appends a column with a
@@ -138,14 +131,14 @@ def sample_new_causes(
     Gibbs-resampled once.
     """
     n, t = state.n_rows, state.n_trials
-    logw = _fresh_cause_log_weights(state, row_idx, max_new)
+    logw = _fresh_cause_log_weights(state, row_idx)
     top = logw.max()
     if top == -math.inf:
         raise DegenerateModelError("no feasible number of fresh causes for this row")
     w = np.exp(logw - top)
     cdf = np.cumsum(w)
     k_new = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    k_new = min(k_new, max_new)
+    k_new = min(k_new, MAX_NEW_CAUSES)
     if k_new:
         cols = np.zeros((n, k_new), dtype=np.int8)
         cols[i] = 1
@@ -154,78 +147,49 @@ def sample_new_causes(
             [state.column_sums, np.ones(k_new, dtype=np.int64)]
         )
         state.Y = np.concatenate([state.Y, np.zeros((k_new, t), dtype=np.int8)], axis=0)
-        terms = _y_terms(state)
         for j in range(state.Y.shape[0] - k_new, state.Y.shape[0]):
-            resample_y_row(state, j, X, rng.random(t), terms)
+            resample_y_row(state, j, X, rng.random(t))
     return k_new
 
 
-class _YTerms(NamedTuple):
-    """What every activation draw of a Y pass reads, looked up once."""
-
-    log_p1: float
-    log_p0: float
-    log_pmf: np.ndarray  # shared_log_pmf_table, raveled
-    on_prob: np.ndarray  # shared_y_on_prob_table
-    degenerate: bool  # on_prob holds a NaN
-
-
-def _y_terms(state: SamplerState) -> _YTerms:
-    """The lookups of a Y pass under the state's parameters and K.
-
-    Unless ``degenerate``, no activation draw meets both states at zero
-    mass, whatever its number of rows: no log term is +inf, so that takes
-    a -inf on each side, and the table entry of the two rows (or of one
-    row and none) that carry them would be NaN."""
-    params = state.params
-    on_prob = shared_y_on_prob_table(params.lam, params.epsilon, params.p, state.k)
-    return _YTerms(*log_p_pair(params.p),
-                   shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel(),
-                   on_prob, bool(np.isnan(on_prob).any()))
-
-
-def _y_conditional_log_odds(
-    state: SamplerState, k: int, X, rows: np.ndarray, terms: _YTerms | None = None
-) -> np.ndarray:
+def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) -> np.ndarray:
     """Log-odds of y[k, t] = 1 for all trials at once (trials are
     conditionally independent given the rest of the state); rows are the
     rows of Z linked to cause k."""
-    log_p1, log_p0, table, _, degenerate = terms or _y_terms(state)
+    params = state.params
+    tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
     idx = flat_index(X[rows], state.counts[rows], state.k)
     idx -= state.Y[k]
-    ll0 = table.take(idx).sum(axis=0)
+    ll0 = tables.log_pmf.take(idx).sum(axis=0)
     idx += 1
-    ll1 = table.take(idx).sum(axis=0)
-    logw1 = log_p1 + ll1
-    logw0 = log_p0 + ll0
-    if degenerate and (np.isneginf(logw1) & np.isneginf(logw0)).any():
+    ll1 = tables.log_pmf.take(idx).sum(axis=0)
+    logw1 = tables.log_p1 + ll1
+    logw0 = tables.log_p0 + ll0
+    if tables.degenerate and (np.isneginf(logw1) & np.isneginf(logw0)).any():
         raise DegenerateModelError("both states of an activation draw have zero mass")
     return logw1 - logw0
 
 
-def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray,
-                   terms: _YTerms | None = None) -> None:
+def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray) -> None:
     """One Gibbs pass over y[k, :], vectorized across trials, from the T
     uniforms u; the per-entry update would draw the same ones in order.
 
     A cause linked to one or two rows gathers its on-probabilities from
-    ``shared_y_on_prob_table``, one entry per trial; any other sums its
-    rows' log-likelihoods.  terms are the pass's ``_y_terms``."""
-    terms = terms or _y_terms(state)
+    the ``draw_tables`` entry of its rows' flat indices, one per trial;
+    any other sums its rows' log-likelihoods."""
     rows = state.Z[:, k].nonzero()[0]
     if 0 < rows.size <= 2:
+        params = state.params
+        tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
         idx = flat_index(X[rows], state.counts[rows], state.k)
         idx -= state.Y[k]
-        if rows.size == 1:  # table row K pairs the row with none
-            prob = terms.on_prob[state.k].take(idx[0])
-        else:
-            pair = idx[1] * terms.on_prob.shape[0]
-            pair += idx[0]
-            prob = terms.on_prob.take(pair)
-        if terms.degenerate and np.isnan(prob).any():
+        # a single row pairs with index K, which holds log-likelihood 0
+        pair = (idx[1] if rows.size == 2 else state.k) * tables.on_prob.shape[0] + idx[0]
+        prob = tables.on_prob.take(pair)
+        if tables.degenerate and np.isnan(prob).any():
             raise DegenerateModelError("both states of an activation draw have zero mass")
     else:
-        prob = expit(_y_conditional_log_odds(state, k, X, rows, terms))
+        prob = expit(_y_conditional_log_odds(state, k, X, rows))
     new = u < prob
     diff = new - state.Y[k]
     if rows.size and diff.any():
@@ -239,13 +203,14 @@ def resample_all_y(state: SamplerState, X, rng: np.random.Generator) -> None:
     Linked rows go in index order; an unlinked row draws from its prior
     alone and moves no count, so all of them take one comparison."""
     u = rng.random((state.k, state.n_trials))
-    terms = _y_terms(state)
     linked = state.column_sums > 0
     for k in linked.nonzero()[0]:
-        resample_y_row(state, k, X, u[k], terms)
+        resample_y_row(state, k, X, u[k])
     if not linked.all():
+        params = state.params
+        tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
         unlinked = ~linked
-        state.Y[unlinked] = u[unlinked] < expit(terms.log_p1 - terms.log_p0)
+        state.Y[unlinked] = u[unlinked] < expit(tables.log_p1 - tables.log_p0)
 
 
 def compact_state(state: SamplerState) -> SamplerState:

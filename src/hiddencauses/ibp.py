@@ -87,7 +87,7 @@ def log_prior_Z_ibp(Z, alpha: float) -> float:
     Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[0] < 1:
         raise ValueError("Z must be 2-D with at least one row")
-    if Z.size and not np.isin(Z, (0, 1)).all():
+    if Z.size and not ((Z == 0) | (Z == 1)).all():
         raise ValueError("Z entries must be 0 or 1")
     if not alpha > 0:
         raise ValueError("alpha must be positive")

@@ -21,15 +21,17 @@ entry only through the pair (x, count).  ``log_pmf_noisy_or`` is the one
 kernel that computes log P(x | count); ``log_pmf_table`` evaluates it on
 every (x, count) pair up to a cap.  ``shared_log_pmf_table`` builds that
 table once per (lam, epsilon, cap) and hands out the same read-only
-array, and the samplers, the MH step and the trace gather their
-likelihood terms from it by flat index x (cap + 1) + count.
-``shared_y_on_prob_table`` turns it into the on-probability of an
-activation whose cause links one or two rows, per pair of flat indices.
+array, and the MH step and the trace gather their likelihood terms from
+it by flat index x (cap + 1) + count.  ``draw_tables`` builds, once per
+(lam, epsilon, p, K), everything the conditional draws of both samplers
+read: that table at cap K, its fresh-cause rows, and the on-probability
+of an activation whose cause links one or two rows.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
@@ -80,7 +82,7 @@ def as_binary_matrix(values, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} entries must be 0 or 1")
     return arr.astype(np.int8)
 
@@ -111,54 +113,67 @@ def log_pmf_table(lam: float, epsilon: float, c_max: int, log_off_extra=0.0) -> 
 
 
 TABLE_CACHE_SIZE = 64  # covers the K values of a chain; each MH proposal adds a key
+MAX_NEW_CAUSES = 10  # truncation of the per-row Poisson draw of fresh columns
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def shared_log_pmf_table(lam: float, epsilon: float, c_max: int, p=None, max_new: int = 0):
+def shared_log_pmf_table(lam: float, epsilon: float, c_max: int) -> np.ndarray:
     """``log_pmf_table(lam, epsilon, c_max)``, built once per key, read-only.
 
-    Given p, the table gains a leading axis for k = 0..max_new fresh
-    causes of activation probability p: summed out, they multiply the off
-    probability by (1 - lam p)^k, so ``table[k, x, c]``.  Callers share
-    the returned array and must not write to it.
+    Callers share the returned array and must not write to it.
     """
-    extra = 0.0
-    if p is not None:
-        extra = xlogy(np.arange(max_new + 1, dtype=np.float64), 1.0 - lam * p)[:, None, None]
-    table = log_pmf_table(lam, epsilon, c_max, extra)
+    table = log_pmf_table(lam, epsilon, c_max)
     table.flags.writeable = False
     return table
 
 
-def log_p_pair(p: float) -> tuple[float, float]:
-    """(log p, log(1 - p)), -inf at the ends of [0, 1]."""
-    with np.errstate(divide="ignore"):
-        return float(np.log(p)), float(np.log1p(-p))
+class DrawTables(NamedTuple):
+    """What the conditional draws read under one (lam, epsilon, p, K);
+    every array is read-only.  See ``draw_tables``."""
+
+    log_pmf: np.ndarray  # shared_log_pmf_table(lam, epsilon, K), raveled
+    fresh: np.ndarray  # [j, i]: log_pmf[i] with j fresh causes of rate p summed out
+    on_prob: np.ndarray  # [b, a]: P(y = 1 | rest) of a cause on rows at flat indices a, b
+    degenerate: bool  # on_prob holds a NaN
+    log_p1: float  # log p
+    log_p0: float  # log(1 - p)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def shared_y_on_prob_table(lam: float, epsilon: float, p: float, c_max: int):
-    """P(y = 1 | rest) for an activation whose cause links one or two
-    rows, built once per key, read-only, shape (2 c_max + 2, 2 c_max + 2).
+def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
+    """The lookups of every conditional draw at K = k, built once per key.
 
-    Entry [b, a] belongs to rows whose flat indices (see ``flat_index``)
-    are a and b, taken with the cause's own activation left out, so
-    count <= c_max - 1.  Index c_max (x = 0, count = c_max) is never a
-    row's and holds log-likelihood 0 in both states, so row c_max serves a
-    cause with one row: L + 0.0 == L.  Every entry applies the floating-
-    point operations of the summed log-odds in their order, so it equals
-    expit of them bit for bit; NaN marks both states at zero mass.
+    Z Y <= K, so tables up to count K cover every row.  ``fresh`` serves
+    j = 0..MAX_NEW_CAUSES fresh causes of activation probability p: summed
+    out, they multiply the off probability by (1 - lam p)^j, so row j is
+    ``log_pmf_table(lam, epsilon, k, xlogy(j, 1 - lam p))``, raveled.
+
+    ``on_prob`` serves an activation whose cause links one or two rows,
+    taken with the cause's own activation left out, so count <= K - 1.
+    Index K (x = 0, count = K) is never a row's and holds log-likelihood
+    0 in both states, so row K serves a cause with one row: L + 0.0 == L.
+    Every entry applies the floating-point operations of the summed
+    log-odds in their order, so it equals expit of them bit for bit; NaN
+    marks both states at zero mass.  Unless ``degenerate``, no activation
+    draw meets both states at zero mass, whatever its number of rows: no
+    log term is +inf, so that takes a -inf on each side, and the entry of
+    the two rows (or of one row and none) that carry them would be NaN.
     """
-    table = shared_log_pmf_table(lam, epsilon, c_max)
+    table = shared_log_pmf_table(lam, epsilon, k)
+    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
+    fresh = log_pmf_table(lam, epsilon, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
+    fresh = fresh.reshape(MAX_NEW_CAUSES + 1, -1)
     off, on = np.zeros_like(table), np.zeros_like(table)
     off[:, :-1] = table[:, :-1]
     on[:, :-1] = table[:, 1:]
     off, on = off.ravel(), on.ravel()
-    log_p1, log_p0 = log_p_pair(p)
+    with np.errstate(divide="ignore"):
+        log_p1, log_p0 = float(np.log(p)), float(np.log1p(-p))
     with np.errstate(invalid="ignore"):  # -inf - -inf is the NaN wanted
-        prob = expit((log_p1 + (on[:, None] + on)) - (log_p0 + (off[:, None] + off)))
-    prob.flags.writeable = False
-    return prob
+        on_prob = expit((log_p1 + (on[:, None] + on)) - (log_p0 + (off[:, None] + off)))
+    fresh.flags.writeable = on_prob.flags.writeable = False
+    return DrawTables(table.ravel(), fresh, on_prob, bool(np.isnan(on_prob).any()),
+                      log_p1, log_p0)
 
 
 def flat_index(x, counts, c_max: int) -> np.ndarray:

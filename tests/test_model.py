@@ -13,6 +13,7 @@ from hiddencauses import (
     log_joint,
     log_likelihood,
     log_prior_Z_finite,
+    log_prior_Z_ibp,
 )
 from hiddencauses.model import (
     as_binary_matrix,
@@ -22,6 +23,22 @@ from hiddencauses.model import (
 )
 
 PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=3.0)
+
+# 2-D arrays of many dtypes, some with entries that are not 0 or 1
+ENTRY_CHECK_CASES = [
+    np.array([[0, 1], [1, 1]], dtype=np.int8),
+    np.array([[0, 2], [1, 1]], dtype=np.int8),
+    np.array([[0.0, 1.0], [1.0, 1.0]]),
+    np.array([[0.0, np.nan], [1.0, 1.0]]),
+    np.array([[0.5, 1.0], [1.0, 1.0]]),
+    np.array([[False, True], [True, True]]),
+    np.array([[0, 1], [1, 1]], dtype=complex),
+    np.array([[0, 1j], [1, 1]]),
+    np.array([[0, 1], [1, 1]], dtype=object),
+    np.array([[0, "a"], [1, 1]], dtype=object),
+    np.array([[None, 1], [1, 1]], dtype=object),
+    np.array([["0", "1"], ["1", "1"]]),
+]
 
 
 class TestModelParams:
@@ -79,6 +96,18 @@ class TestAsBinaryMatrix:
     def test_name_in_message(self):
         with pytest.raises(ValueError, match="Z entries"):
             as_binary_matrix([[3]], "Z")
+
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    @pytest.mark.parametrize("arr", ENTRY_CHECK_CASES, ids=lambda a: str(a.dtype))
+    def test_entry_check_matches_isin(self, arr):
+        """as_binary_matrix and log_prior_Z_ibp refuse exactly the arrays
+        in which np.isin finds an entry other than 0 and 1."""
+        for check in (as_binary_matrix, lambda a: log_prior_Z_ibp(a, 1.0)):
+            if np.isin(arr, (0, 1)).all():
+                check(arr)
+            else:
+                with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                    check(arr)
 
 
 class TestNoisyOr:

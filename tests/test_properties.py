@@ -38,12 +38,12 @@ from hiddencauses.gibbs import (
     sample_new_causes,
 )
 from hiddencauses.model import (
+    draw_tables,
     flat_index,
     log_likelihood_from_counts,
     log_pmf_noisy_or,
     log_pmf_table,
     shared_log_pmf_table,
-    shared_y_on_prob_table,
 )
 from hiddencauses.rjmcmc import birth_acceptance, death_acceptance, finite_conditional_z
 
@@ -147,7 +147,7 @@ def _on_prob_gather(state, k, X, rows):
     """What cause k (one or two rows) reads from the on-probability table:
     entry [b, a] for the rows' flat indices a and b, [K, a] for one row."""
     params = state.params
-    table = shared_y_on_prob_table(params.lam, params.epsilon, params.p, state.k)
+    table = draw_tables(params.lam, params.epsilon, params.p, state.k).on_prob
     idx = flat_index(X[rows], state.counts[rows], state.k) - state.Y[k]
     return table[idx[1] if rows.size == 2 else state.k, idx[0]]
 
@@ -186,7 +186,7 @@ def _assert_gathers_match_elementwise(state, X):
     ks = np.arange(MAX_NEW_CAUSES + 1)
     log_rate, log_fact = xlogy(ks, params.alpha / n), gammaln(ks + 1.0)
     for i in range(n):
-        got = gibbs._fresh_cause_log_weights(state, row_index(state, i, X), MAX_NEW_CAUSES)
+        got = gibbs._fresh_cause_log_weights(state, row_index(state, i, X))
         np.testing.assert_array_equal(
             got, reference_fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
         )
@@ -251,15 +251,14 @@ class TestSharedTables:
             _assert_gathers_match_elementwise(state, X)
 
     def test_shared_tables_are_read_only(self):
-        for build, args in ((shared_log_pmf_table, (0.9, 0.01, 4)),
-                            (shared_log_pmf_table, (0.9, 0.01, 4, 0.1, MAX_NEW_CAUSES)),
-                            (shared_y_on_prob_table, (0.9, 0.01, 0.1, 4))):
-            table = build(*args)
-            assert build(*args) is table
+        tables = draw_tables(0.9, 0.01, 0.1, 4)
+        for table in (shared_log_pmf_table(0.9, 0.01, 4), *tables[:3]):
             with pytest.raises(ValueError):
-                table[..., 0, 0] = 0.0
+                table[(0,) * table.ndim] = 0.0
             with pytest.raises(ValueError):
                 table.ravel()[0] = 0.0
+        assert shared_log_pmf_table(0.9, 0.01, 4) is shared_log_pmf_table(0.9, 0.01, 4)
+        assert draw_tables(0.9, 0.01, 0.1, 4) is tables
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +448,7 @@ class TestOnProbTable:
                 logw1, logw0 = _elementwise_log_weights(state, k, X, rows)
                 zero_mass = np.isneginf(logw1) & np.isneginf(logw0)
                 if zero_mass.any():
-                    assert gibbs._y_terms(state).degenerate
+                    assert draw_tables(lam, eps, p, state.k).degenerate
                     with pytest.raises(DegenerateModelError):
                         gibbs._y_conditional_log_odds(state, k, X, rows)
                     with np.errstate(invalid="ignore"):
@@ -460,6 +459,32 @@ class TestOnProbTable:
                     got = _on_prob_gather(state, k, X, rows)
                     np.testing.assert_array_equal(np.isnan(got), zero_mass)
                     np.testing.assert_array_equal(got, want)
+
+
+class TestDrawTables:
+    @given(lam=lams, eps=epsilons, p=st.floats(0.0, 1.0))
+    def test_fields_equal_their_reference_builds(self, lam, eps, p):
+        """Bit for bit, each field of the bundle is the table its readers
+        once built themselves, every array is read-only, and one key
+        returns one object."""
+        ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
+        for eps, lam, p in [(eps, lam, p)] + BOUNDARY_PARAMS:
+            for k in (0, 1, 4):
+                tables = draw_tables(lam, eps, p, k)
+                assert draw_tables(lam, eps, p, k) is tables
+                fresh = log_pmf_table(lam, eps, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
+                with np.errstate(divide="ignore"):
+                    log_p1, log_p0 = np.log(p), np.log1p(-p)
+                for got, want in ((tables.log_pmf, log_pmf_table(lam, eps, k).ravel()),
+                                  (tables.fresh, fresh.reshape(MAX_NEW_CAUSES + 1, -1)),
+                                  (np.array([tables.log_p1, tables.log_p0]),
+                                   np.array([log_p1, log_p0]))):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                assert tables.on_prob.shape == (2 * k + 2, 2 * k + 2)
+                assert tables.degenerate is bool(np.isnan(tables.on_prob).any())
+                for table in tables[:3]:
+                    assert not table.flags.writeable
 
 
 class TestFreshCauseBoundaries:
@@ -477,7 +502,7 @@ class TestFreshCauseBoundaries:
             for i in range(X.shape[0]):
                 state = SamplerState.from_matrices(Z, Y, params)
                 row_idx = row_index(state, i, X)
-                got = gibbs._fresh_cause_log_weights(state, row_idx, MAX_NEW_CAUSES)
+                got = gibbs._fresh_cause_log_weights(state, row_idx)
                 per_trial = log_pmf_noisy_or(
                     X[i][:, None], state.counts[i][:, None], lam, eps, extra
                 )
@@ -512,7 +537,7 @@ def _long_state():
     return SamplerState.from_matrices(Z, Y, LONG_PARAMS), X
 
 
-def _summed_y_row(state, k, X, u, terms=None):
+def _summed_y_row(state, k, X, u):
     """A Y-row update that draws u < expit of the summed log-odds."""
     rows = state.Z[:, k].nonzero()[0]
     new = (u < expit(gibbs._y_conditional_log_odds(state, k, X, rows))).astype(np.int8)

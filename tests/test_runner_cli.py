@@ -18,6 +18,7 @@ from hiddencauses import (
 )
 from hiddencauses import experiments
 from hiddencauses.harness import Dataset
+from hiddencauses.hypers import MH_STEP
 from hiddencauses.runner import _trace_record, default_k_prior, initial_state, step
 from hiddencauses.cli import (
     EXIT_DATA, EXIT_DEGENERATE, EXIT_OK, EXIT_USAGE, build_parser, main,
@@ -243,6 +244,20 @@ RJMCMC_ONLY_SETTINGS = [("prior_k", "uniform"), ("prior_k_mean", 2.5), ("prior_k
                         ("duplicate_row_factor", True)]
 
 
+# a fit setting away from its default, beside the settings (context)
+# under which the chain would not read it
+UNREAD_SETTINGS = [
+    ({"sampler": "rjmcmc", "prior_k": "geometric"}, "prior_k_mean", 3.0),
+    ({"sampler": "rjmcmc", "prior_k": "uniform"}, "prior_k_mean", 3.0),
+    ({"sampler": "rjmcmc"}, "prior_k_q", 0.25),
+    ({"sampler": "rjmcmc", "prior_k": "uniform"}, "prior_k_q", 0.25),
+    ({"sampler": "rjmcmc"}, "k_max", 7),
+    ({"sampler": "rjmcmc", "prior_k": "geometric"}, "k_max", 7),
+    ({}, "mh_step", 0.2),
+    ({"sampler": "rjmcmc"}, "mh_step", 0.2),
+]
+
+
 def _generate(tmp_path, extra=()):
     bundle = tmp_path / "data"
     code = main(
@@ -276,11 +291,13 @@ class TestCliGenerate:
         assert data.truth.Z.shape == (4, 2)
 
     def test_structure_excludes_size_flags(self, tmp_path, capsys):
-        code = main(
-            ["generate", "--out", str(tmp_path / "d"), "--structure", "degree1", "--n", "4"]
-        )
-        assert code == EXIT_USAGE
-        assert "usage error" in capsys.readouterr().err
+        for flags in (["--n", "4"], ["--max-tries", "5"]):
+            code = main(
+                ["generate", "--out", str(tmp_path / "d"), "--structure", "degree1", *flags]
+            )
+            assert code == EXIT_USAGE
+            assert "usage error" in capsys.readouterr().err
+        _generate(tmp_path, ["--max-tries", "100000"])  # the default, typed
 
     def test_missing_size_flags(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "d"), "--n", "4"]) == EXIT_USAGE
@@ -488,6 +505,38 @@ class TestCliFit:
         argv = ["fit", "--data", str(bundle), "--out", str(tmp_path / "fit"),
                 "--iterations", "2", "--prior-k", "poisson", "--k-max", "50",
                 "--prior-k-q", "0.5"]
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("context, name, value", UNREAD_SETTINGS)
+    def test_unread_flag_refused(self, tmp_path, capsys, context, name, value):
+        """The chain would ignore the setting under the others, and
+        summary.json would record it; it ends as a usage error before the
+        data is read."""
+        flags = [f for key, v in context.items() for f in ("--" + key.replace("_", "-"), v)]
+        flag = "--" + name.replace("_", "-")
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+                *flags, flag, str(value)]
+        assert main(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("context, name, value", UNREAD_SETTINGS)
+    def test_unread_setting_in_config_refused(self, tmp_path, capsys, context, name, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**context, name: value}))
+        out = tmp_path / "fit"
+        argv = ["fit", "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+                "--config", str(cfg)]
+        assert main(argv) == EXIT_USAGE
+        assert "--" + name.replace("_", "-") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_defaults_accepted_where_unread(self, tmp_path):
+        bundle = _generate(tmp_path)
+        argv = ["fit", "--data", str(bundle), "--out", str(tmp_path / "fit"),
+                "--iterations", "2", "--sampler", "rjmcmc", "--prior-k", "geometric",
+                "--k-max", "50", "--mh-step", str(MH_STEP)]
         assert main(argv) == EXIT_OK
 
 
