@@ -23,6 +23,7 @@ import numpy as np
 from . import dataio, experiments
 from .harness import (
     CANONICAL_STRUCTURES,
+    MAX_TRIES,
     RejectionError,
     canonical_structure,
     generate_dataset,
@@ -39,7 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DEGENERATE = 3
-MAX_TRIES = 100_000  # generate's default rejection budget
 
 
 class UsageError(Exception):

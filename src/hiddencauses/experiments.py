@@ -69,7 +69,6 @@ class _Study:
     params: ModelParams
     n_trials: int
     n_rows: int = 0  # dimension recovery only
-    max_tries: int = 0  # dimension recovery only
 
 
 class _Run:
@@ -128,7 +127,7 @@ class DimensionRun(_Run):
     def dataset(self, study: _Study) -> Dataset:
         return make_dimension_dataset(
             study.seed, self.k_true, self.dataset_index, study.n_rows, study.n_trials,
-            study.params, study.max_tries,
+            study.params,
         )
 
     def score(self, result, data: Dataset) -> None:
@@ -150,10 +149,9 @@ def make_dimension_dataset(
     n_rows: int,
     n_trials: int,
     params: ModelParams,
-    max_tries: int = 100_000,
 ) -> Dataset:
     rng = _dataset_rng(master_seed, k_true, index)
-    Z = rejection_sample_Z(n_rows, k_true, params.alpha, rng, max_tries=max_tries)
+    Z = rejection_sample_Z(n_rows, k_true, params.alpha, rng)
     return generate_dataset(Z, n_trials, params, rng)
 
 
@@ -168,10 +166,9 @@ def dimension_recovery_experiment(
     n_trials: int = 500,
     iterations: int = 500,
     params: ModelParams = DEFAULT_PARAMS,
-    max_tries: int = 100_000,
     jobs: int = 1,
 ) -> list[DimensionRun]:
-    study = _Study(master_seed, iterations, params, n_trials, n_rows, max_tries)
+    study = _Study(master_seed, iterations, params, n_trials, n_rows)
     specs = [(DimensionRun(k_true, index, sampler, init), study)
              for k_true in k_values for index in range(datasets_per_condition)
              for sampler in samplers for init in inits]

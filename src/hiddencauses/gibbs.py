@@ -39,6 +39,17 @@ def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int
     return 1 if rng.random() < expit(logw1 - logw0) else 0
 
 
+def _set_z(state: SamplerState, i: int, k: int, new: int, row_idx: np.ndarray,
+           active: np.ndarray) -> None:
+    """Set z[i, k] to new and move the caches with it: column_sums[k], and
+    counts[i] and row i's flat index on cause k's active trials."""
+    diff = new - int(state.Z[i, k])
+    state.Z[i, k] = new
+    state.column_sums[k] += diff
+    state.counts[i, active] += diff
+    row_idx[active] += diff
+
+
 def _sample_z_given_theta(
     state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
     rng: np.random.Generator, theta_bar: float,
@@ -63,11 +74,7 @@ def _sample_z_given_theta(
     logw0 = (math.log1p(-theta_bar) if theta_bar < 1 else -math.inf) + ll0
     new = _two_point_draw(logw1, logw0, rng)
     if new != old:
-        state.Z[i, k] = new
-        state.column_sums[k] += new - old
-        if active.size:
-            state.counts[i, active] += new - old
-            row_idx[active] += new - old
+        _set_z(state, i, k, new, row_idx, active)
     return new
 
 
@@ -234,20 +241,15 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
     """
     active = [y.nonzero()[0] for y in state.Y]
     for i in range(state.n_rows):
-        k_at_entry = state.Z.shape[1]
         row_idx = flat_index(X[i], state.counts[i], state.k)
-        singletons = []
-        for k in range(k_at_entry):
-            if state.column_sums[k] - state.Z[i, k] > 0:
+        # no entry of row i moves m_minus: a flip moves z[i, k] and column_sums[k] together
+        m_minus = (state.column_sums - state.Z[i]).tolist()
+        for k, m in enumerate(m_minus):
+            if m > 0:
                 gibbs_sample_z_entry(state, i, k, row_idx, active[k], rng)
-            else:
-                singletons.append(k)
-        for k in singletons:
-            if state.Z[i, k]:
-                state.Z[i, k] = 0
-                state.column_sums[k] -= 1
-                state.counts[i, active[k]] -= 1
-                row_idx[active[k]] -= 1
+        for k, m in enumerate(m_minus):
+            if m == 0 and state.Z[i, k]:
+                _set_z(state, i, k, 0, row_idx, active[k])
         k_new = sample_new_causes(state, i, X, row_idx, rng)
         active.extend(y.nonzero()[0] for y in state.Y[state.k - k_new:])
     resample_all_y(state, X, rng)

@@ -94,6 +94,9 @@ class Dataset:
     truth: GroundTruth | None = None
 
 
+MAX_TRIES = 100_000  # default rejection budget of rejection_sample_Z
+
+
 class RejectionError(RuntimeError):
     """Rejection sampling exhausted its budget without an acceptance."""
 
@@ -111,9 +114,12 @@ def rejection_sample_Z(
     k_target: int,
     alpha: float,
     rng: np.random.Generator,
-    max_tries: int = 100_000,
+    max_tries: int = MAX_TRIES,
 ) -> np.ndarray:
     """Draw Z from the unbounded-cause prior conditioned on K+ = k_target."""
+    # looked up at call time because perfbench/tracing.py patches
+    # ibp.sample_ibp; a module-level import would keep the unpatched
+    # function, and ibp.sample.calls would read 0
     from .ibp import sample_ibp
 
     for _ in range(max_tries):

@@ -271,6 +271,9 @@ def log_joint(X, Z, Y, params: ModelParams, prior: str = "ibp",
     log_lik, when given, is taken as ``log_likelihood(X, Z, Y, params)``,
     as a sampler that holds counts = Z @ Y computes it from them.
     """
+    # looked up at call time because perfbench/tracing.py patches
+    # ibp.log_prior_Z_ibp; a module-level import would keep the unpatched
+    # function, and ibp.log_prior.self_s would read 0
     from .ibp import log_prior_Z_ibp
 
     ll = log_likelihood(X, Z, Y, params) if log_lik is None else log_lik

@@ -114,14 +114,23 @@ class FiniteState(SamplerState):
             raise ValueError("finite state needs K >= 1")
 
 
-def _log_prior_z(state: FiniteState, column_sums, k: int) -> float:
-    return log_prior_Z_finite_from_sums(column_sums, state.n_rows, k, state.params.alpha)
-
-
 def _matching_rows(Y: np.ndarray, row: np.ndarray) -> int:
     if Y.shape[0] == 0:
         return 0
     return int((Y == row[None, :]).all(axis=1).sum())
+
+
+def _move_log_ratio(state: FiniteState, sums_new: np.ndarray, log_proposal_factor: float) -> float:
+    """log [P(Z'|K') P(K') / (P(Z|K) P(K))] plus the move's K/K+ proposal
+    factor, where Z' has column sums sums_new and K' = len(sums_new)."""
+    n, alpha, k, k_new = state.n_rows, state.params.alpha, state.k, sums_new.size
+    return (
+        log_proposal_factor
+        + log_prior_Z_finite_from_sums(sums_new, n, k_new, alpha)
+        + state.k_prior.log_pmf(k_new)
+        - log_prior_Z_finite_from_sums(state.column_sums, n, k, alpha)
+        - state.k_prior.log_pmf(k)
+    )
 
 
 def _accept(log_ratio: float, rng: np.random.Generator) -> tuple[float, bool]:
@@ -151,14 +160,7 @@ def birth_acceptance(
     if kplus == 0:
         raise ValueError("birth requires the chosen column to be linked")
     sums_new = np.concatenate([state.column_sums, [0]])
-    log_ratio = (
-        _log_prior_z(state, sums_new, k + 1)
-        + state.k_prior.log_pmf(k + 1)
-        - math.log(kplus)
-        + math.log(k)
-        - _log_prior_z(state, state.column_sums, k)
-        - state.k_prior.log_pmf(k)
-    )
+    log_ratio = _move_log_ratio(state, sums_new, math.log(k) - math.log(kplus))
     if state.duplicate_row_factor:
         delta = _matching_rows(state.Y, proposed) + 1  # the new row matches itself
         log_ratio += math.log(delta) - math.log(k + 1)
@@ -189,14 +191,7 @@ def death_acceptance(state: FiniteState, k: int, rng: np.random.Generator) -> tu
     if kplus == 0:
         return 0.0, False
     sums_new = np.delete(state.column_sums, k)
-    log_ratio = (
-        math.log(kplus)
-        - math.log(kk - 1)
-        + _log_prior_z(state, sums_new, kk - 1)
-        + state.k_prior.log_pmf(kk - 1)
-        - _log_prior_z(state, state.column_sums, kk)
-        - state.k_prior.log_pmf(kk)
-    )
+    log_ratio = _move_log_ratio(state, sums_new, math.log(kplus) - math.log(kk - 1))
     if state.duplicate_row_factor:
         delta = _matching_rows(state.Y, state.Y[k])  # includes row k itself
         log_ratio += math.log(kk) - math.log(delta)

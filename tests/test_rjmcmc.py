@@ -8,7 +8,8 @@ import pytest
 from scipy.special import gammaln
 
 from helpers import check_consistency, row_index
-from hiddencauses import FiniteState, ModelParams, UniformK, finite_gibbs_sweep, rjmcmc_sweep
+from hiddencauses import (FiniteState, ModelParams, UniformK, finite_gibbs_sweep,
+                          log_prior_Z_finite, rjmcmc_sweep)
 from hiddencauses.rjmcmc import (
     GeometricK,
     ShiftedPoissonK,
@@ -129,29 +130,81 @@ def _linked_state(k_prior=GeometricK(q=0.5), n=3, k=2, t=4, seed=14):
     return FiniteState.from_matrices(Z, Y, PARAMS, k_prior=k_prior)
 
 
+def _random_finite_state(rng, k_prior, duplicate_row_factor, k=None):
+    """A state with at least one linked column; some columns may be unlinked."""
+    n, t = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    k = int(rng.integers(1, 6)) if k is None else k
+    Z = (rng.random((n, k)) < rng.uniform(0.1, 0.9)).astype(np.int8)
+    Z[int(rng.integers(n)), int(rng.integers(k))] = 1
+    Y = (rng.random((k, t)) < 0.5).astype(np.int8)
+    params = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=float(rng.uniform(0.2, 5.0)))
+    return FiniteState.from_matrices(Z, Y, params, k_prior=k_prior,
+                                     duplicate_row_factor=duplicate_row_factor)
+
+
+def _closed_form_log_ratio(state, Z_new, Y_new, moved_row):
+    """log r of the move from state to (Z_new, Y_new), from the explicit
+    matrices: the prior ratio of Z and of K, the K/K+ proposal terms and,
+    in the variant, delta / K' for a birth and K / delta for a death, delta
+    counting the activation rows equal to the moved row in the larger Y."""
+    k, k_new, kplus = state.k, Z_new.shape[1], state.kplus
+    alpha, prior = state.params.alpha, state.k_prior
+    r = (log_prior_Z_finite(Z_new, k_new, alpha) + prior.log_pmf(k_new)
+         - log_prior_Z_finite(state.Z, k, alpha) - prior.log_pmf(k))
+    birth = k_new > k
+    r += math.log(k) - math.log(kplus) if birth else math.log(kplus) - math.log(k_new)
+    if state.duplicate_row_factor:
+        delta = int(((Y_new if birth else state.Y) == moved_row).all(axis=1).sum())
+        r += math.log(delta) - math.log(k_new) if birth else math.log(k) - math.log(delta)
+    return r
+
+
+def _min_one_exp(r):
+    return 1.0 if r >= 0 else math.exp(r)
+
+
+K_PRIORS = (ShiftedPoissonK(mean=2.5), GeometricK(q=0.4), UniformK(k_max=3))
+
+
 class TestBirthDeathMoves:
     def test_acceptance_probs_are_reciprocal(self):
-        """A birth and the death that undoes it satisfy min(1, r) and
-        min(1, 1/r): at least one of the two acceptance probs is 1."""
+        """A birth returns min(1, e^r) with r in closed form, and the death
+        that undoes it returns min(1, e^-r), under each K prior (the
+        uniform cap binds at K = 3) and both ratio variants."""
         rng = np.random.default_rng(15)
-        for trial in range(50):
-            state = _linked_state(seed=100 + trial)
-            proposed = (rng.random(state.n_trials) < PARAMS.p).astype(np.int8)
-            before = copy.deepcopy(state)
-            prob_b, accepted = birth_acceptance(state, proposed, rng)
-            if accepted:
-                post = state
-            else:
-                post = before
-                post.Z = np.concatenate(
-                    [post.Z, np.zeros((post.n_rows, 1), dtype=np.int8)], axis=1
-                )
-                post.column_sums = np.concatenate([post.column_sums, [0]])
-                post.Y = np.concatenate([post.Y, proposed[None, :]], axis=0)
-            prob_d, _ = death_acceptance(copy.deepcopy(post), post.k - 1, rng)
-            assert 0.0 < prob_b <= 1.0
-            assert 0.0 < prob_d <= 1.0
-            assert max(prob_b, prob_d) > 1.0 - 1e-9
+        for k_prior in K_PRIORS:
+            for variant in (False, True):
+                for _ in range(40):
+                    state = _random_finite_state(rng, k_prior, variant, k=int(rng.integers(1, 4)))
+                    proposed = (rng.random(state.n_trials) < 0.5).astype(np.int8)
+                    Z_new = np.concatenate([state.Z, np.zeros((state.n_rows, 1), np.int8)], axis=1)
+                    Y_new = np.concatenate([state.Y, proposed[None, :]], axis=0)
+                    r = _closed_form_log_ratio(state, Z_new, Y_new, proposed)
+                    post = FiniteState.from_matrices(Z_new, Y_new, state.params, k_prior=k_prior,
+                                                     duplicate_row_factor=variant)
+                    prob_b, _ = birth_acceptance(state, proposed, rng)
+                    prob_d, _ = death_acceptance(post, post.k - 1, rng)
+                    np.testing.assert_allclose(prob_b, _min_one_exp(r), rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(prob_d, _min_one_exp(-r), rtol=1e-12, atol=0)
+
+    def test_death_ratio_matches_closed_form(self):
+        """Deleting any unlinked column k returns min(1, e^r), r from the
+        explicit matrices before and after the deletion."""
+        rng = np.random.default_rng(20)
+        checked = 0
+        for k_prior in K_PRIORS:
+            for variant in (False, True):
+                for _ in range(40):
+                    state = _random_finite_state(rng, k_prior, variant)
+                    if k_prior.log_pmf(state.k) == -math.inf:
+                        continue  # a K the uniform prior excludes is never reached
+                    for k in np.flatnonzero(state.column_sums == 0):
+                        Z_new, Y_new = np.delete(state.Z, k, axis=1), np.delete(state.Y, k, axis=0)
+                        r = _closed_form_log_ratio(state, Z_new, Y_new, state.Y[k])
+                        prob, _ = death_acceptance(copy.deepcopy(state), k, rng)
+                        np.testing.assert_allclose(prob, _min_one_exp(r), rtol=1e-12, atol=0)
+                        checked += 1
+        assert checked > 100
 
     def test_duplicate_row_factor_scales_ratio_by_delta(self):
         """The variant multiplies the birth ratio by delta / (K+1), with
