@@ -16,8 +16,18 @@ singleton removal keep it current, and the fresh-cause weights read it
 through its histogram: 2(K+1) bins, one product with the fresh-cause
 table, where T runs to thousands of trials.
 
+A row's z entries take their two log-likelihoods from one kernel,
+``z_log_likelihoods``: one gather of the row's index on the joined
+active-trial lists and one take of both states' terms, where gathering
+each entry's few dozen trials apart costs more in numpy calls than in
+arithmetic.  ``z_row`` hands the pairs out in column order and, after a
+flip has moved the index, computes the remaining columns' pairs again.
+The entries still draw one by one, one uniform each, in order: each
+entry's prior weight and every later pair depend on the draws before it.
+
 Every draw reads its lookups from ``model.draw_tables``, built once per
-(lam, epsilon, p, K).  An activation row whose cause links one or two
+(lam, epsilon, p, K), and the fresh-cause draw from
+``model.fresh_cause_table``.  An activation row whose cause links one or two
 rows (every fresh cause, and most causes on long data) gathers its
 on-probabilities from the bundle's ``on_prob``: the table applies the
 summed log-odds' floating-point operations in their order, so the draws
@@ -25,11 +35,16 @@ are those of the summed path, which causes with three or more rows keep.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from .model import MAX_NEW_CAUSES, DegenerateModelError, SamplerState, draw_tables, flat_index
+from .model import (MAX_NEW_CAUSES, DegenerateModelError, SamplerState, draw_tables, flat_index,
+                    fresh_cause_table)
+
+
+_BOTH_STATES = np.array([[0], [1]])  # z = 0 and z = 1 from an index that leaves cause k out
 
 
 def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int:
@@ -50,48 +65,87 @@ def _set_z(state: SamplerState, i: int, k: int, new: int, row_idx: np.ndarray,
     row_idx[active] += diff
 
 
+def z_log_likelihoods(
+    state: SamplerState, i: int, cols: list[int], row_idx: np.ndarray, actives: list,
+) -> list[list[float]]:
+    """[ll0, ll1], the log-likelihoods of z[i, k] = 0 and 1, for each k in
+    cols, actives[j] holding the active trials of cause cols[j].
+
+    row_idx is ``flat_index(X[i], state.counts[i], state.k)``.  The row's
+    index is gathered once on the joined lists, the segments of causes
+    with z[i, k] = 1 drop that cause's count, and one take reads both
+    states' terms.  Each column sums its own segment, which adds in the
+    order of a per-entry ``take(idx).sum()`` (``np.add.reduceat`` does
+    not), so the pairs equal the per-entry gathers bit for bit.  A cause
+    with no active trials gets [0.0, 0.0]: it leaves the likelihood
+    untouched."""
+    params = state.params
+    table = draw_tables(params.lam, params.epsilon, params.p, state.k).log_pmf
+    idx = row_idx.take(np.concatenate(actives))
+    ends = list(accumulate(map(len, actives)))
+    starts = [0, *ends[:-1]]
+    z = state.Z[i].tolist()
+    for k, s, e in zip(cols, starts, ends):
+        if z[k]:
+            idx[s:e] -= 1
+    both = table.take(idx + _BOTH_STATES)
+    return [np.add.reduce(both[:, s:e], 1).tolist() for s, e in zip(starts, ends)]
+
+
+def z_row(state: SamplerState, i: int, cols: list[int], row_idx: np.ndarray, active: list):
+    """Yield (k, [ll0, ll1]) for each k in cols in order, active[k] being
+    cause k's active trials, for the caller to draw z[i, k] from.
+
+    The row's pairs come from one ``z_log_likelihoods`` call.  Once a
+    draw flips z[i, k], row_idx has moved on cause k's trials, so the
+    pairs of the columns still to come are computed again."""
+    while cols:
+        pairs = z_log_likelihoods(state, i, cols, row_idx, [active[k] for k in cols])
+        z = state.Z[i].tolist()
+        for j, (k, ll) in enumerate(zip(cols, pairs), 1):
+            yield k, ll
+            if state.Z[i, k] != z[k]:
+                cols = cols[j:]
+                break
+        else:
+            return
+
+
 def _sample_z_given_theta(
     state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
-    rng: np.random.Generator, theta_bar: float,
+    rng: np.random.Generator, theta_bar: float, ll: list[float] | None = None,
 ) -> int:
     """Two-point draw of z[i, k] with prior weight theta_bar on 1.
 
     row_idx is ``flat_index(X[i], state.counts[i], state.k)``; a flip
     updates it along with the counts.  active is ``state.Y[k].nonzero()[0]``,
-    the trials on which cause k is active."""
-    params = state.params
-    old = int(state.Z[i, k])
-    if active.size:
-        table = draw_tables(params.lam, params.epsilon, params.p, state.k).log_pmf
-        idx = row_idx[active]
-        idx -= old
-        ll0 = float(table.take(idx).sum())
-        idx += 1
-        ll1 = float(table.take(idx).sum())
-    else:
-        ll0 = ll1 = 0.0  # an inactive cause leaves the likelihood untouched
+    the trials on which cause k is active.  ll is the entry's [ll0, ll1]
+    from ``z_log_likelihoods``, computed here when not given."""
+    if ll is None:
+        (ll,) = z_log_likelihoods(state, i, [k], row_idx, [active])
+    ll0, ll1 = ll
     logw1 = (math.log(theta_bar) if theta_bar > 0 else -math.inf) + ll1
     logw0 = (math.log1p(-theta_bar) if theta_bar < 1 else -math.inf) + ll0
     new = _two_point_draw(logw1, logw0, rng)
-    if new != old:
+    if new != state.Z[i, k]:
         _set_z(state, i, k, new, row_idx, active)
     return new
 
 
 def gibbs_sample_z_entry(
     state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator, ll: list[float] | None = None,
 ) -> int:
     """Resample z[i, k] given everything else, for a column some other row
     still uses (m_minus > 0).  The prior weight on z = 1 is m_minus / N.
-    row_idx is row i's flat table index and active cause k's active
-    trials (see ``_sample_z_given_theta``).
+    row_idx is row i's flat table index, active cause k's active trials
+    and ll the entry's log-likelihood pair (see ``_sample_z_given_theta``).
     """
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     if m_minus <= 0:
         raise ValueError("column is a singleton of row i; handled by sample_new_causes")
     theta_bar = m_minus / state.n_rows
-    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar)
+    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar, ll)
 
 
 def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
@@ -116,7 +170,7 @@ def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.nda
     ascending flat index.  Only occupied bins enter the product: an empty
     bin at a -inf entry would add 0 * -inf = NaN."""
     params = state.params
-    fresh = draw_tables(params.lam, params.epsilon, params.p, state.k).fresh
+    fresh = fresh_cause_table(params.lam, params.epsilon, params.p, state.k)
     hist = np.bincount(row_idx, minlength=fresh.shape[1])
     seen = hist.nonzero()[0]
     # one row per occupied bin: a sum over axis 0 adds the rows in order
@@ -244,9 +298,9 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
         row_idx = flat_index(X[i], state.counts[i], state.k)
         # no entry of row i moves m_minus: a flip moves z[i, k] and column_sums[k] together
         m_minus = (state.column_sums - state.Z[i]).tolist()
-        for k, m in enumerate(m_minus):
-            if m > 0:
-                gibbs_sample_z_entry(state, i, k, row_idx, active[k], rng)
+        shared = [k for k, m in enumerate(m_minus) if m > 0]
+        for k, ll in z_row(state, i, shared, row_idx, active):
+            gibbs_sample_z_entry(state, i, k, row_idx, active[k], rng, ll)
         for k, m in enumerate(m_minus):
             if m == 0 and state.Z[i, k]:
                 _set_z(state, i, k, 0, row_idx, active[k])

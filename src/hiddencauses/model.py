@@ -22,10 +22,12 @@ kernel that computes log P(x | count); ``log_pmf_table`` evaluates it on
 every (x, count) pair up to a cap.  ``shared_log_pmf_table`` builds that
 table once per (lam, epsilon, cap) and hands out the same read-only
 array, and the MH step and the trace gather their likelihood terms from
-it by flat index x (cap + 1) + count.  ``draw_tables`` builds, once per
-(lam, epsilon, p, K), everything the conditional draws of both samplers
-read: that table at cap K, its fresh-cause rows, and the on-probability
-of an activation whose cause links one or two rows.
+it by flat index x (cap + 1) + count (``likelihood_index``).
+``draw_tables`` builds, once per (lam, epsilon, p, K), what the
+conditional draws of both samplers read: that table at cap K and the
+on-probability of an activation whose cause links one or two rows.
+``fresh_cause_table``, cached apart, holds the fresh-cause rows that
+only the unbounded sampler's fresh-cause draw reads.
 """
 
 import math
@@ -132,7 +134,6 @@ class DrawTables(NamedTuple):
     every array is read-only.  See ``draw_tables``."""
 
     log_pmf: np.ndarray  # shared_log_pmf_table(lam, epsilon, K), raveled
-    fresh: np.ndarray  # [j, i]: log_pmf[i] with j fresh causes of rate p summed out
     on_prob: np.ndarray  # [b, a]: P(y = 1 | rest) of a cause on rows at flat indices a, b
     degenerate: bool  # on_prob holds a NaN
     log_p1: float  # log p
@@ -141,15 +142,12 @@ class DrawTables(NamedTuple):
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
-    """The lookups of every conditional draw at K = k, built once per key.
+    """The lookups of the conditional draws at K = k, built once per key;
+    the fresh-cause rows are ``fresh_cause_table``'s.
 
-    Z Y <= K, so tables up to count K cover every row.  ``fresh`` serves
-    j = 0..MAX_NEW_CAUSES fresh causes of activation probability p: summed
-    out, they multiply the off probability by (1 - lam p)^j, so row j is
-    ``log_pmf_table(lam, epsilon, k, xlogy(j, 1 - lam p))``, raveled.
-
-    ``on_prob`` serves an activation whose cause links one or two rows,
-    taken with the cause's own activation left out, so count <= K - 1.
+    Z Y <= K, so tables up to count K cover every row.  ``on_prob``
+    serves an activation whose cause links one or two rows, taken with
+    the cause's own activation left out, so count <= K - 1.
     Index K (x = 0, count = K) is never a row's and holds log-likelihood
     0 in both states, so row K serves a cause with one row: L + 0.0 == L.
     Every entry applies the floating-point operations of the summed
@@ -160,9 +158,6 @@ def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
     the two rows (or of one row and none) that carry them would be NaN.
     """
     table = shared_log_pmf_table(lam, epsilon, k)
-    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
-    fresh = log_pmf_table(lam, epsilon, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
-    fresh = fresh.reshape(MAX_NEW_CAUSES + 1, -1)
     off, on = np.zeros_like(table), np.zeros_like(table)
     off[:, :-1] = table[:, :-1]
     on[:, :-1] = table[:, 1:]
@@ -171,9 +166,23 @@ def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
         log_p1, log_p0 = float(np.log(p)), float(np.log1p(-p))
     with np.errstate(invalid="ignore"):  # -inf - -inf is the NaN wanted
         on_prob = expit((log_p1 + (on[:, None] + on)) - (log_p0 + (off[:, None] + off)))
-    fresh.flags.writeable = on_prob.flags.writeable = False
-    return DrawTables(table.ravel(), fresh, on_prob, bool(np.isnan(on_prob).any()),
-                      log_p1, log_p0)
+    on_prob.flags.writeable = False
+    return DrawTables(table.ravel(), on_prob, bool(np.isnan(on_prob).any()), log_p1, log_p0)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def fresh_cause_table(lam: float, epsilon: float, p: float, k: int) -> np.ndarray:
+    """[j, i]: entry i of the raveled log-pmf table at cap k with j fresh
+    causes of activation probability p summed out, j = 0..MAX_NEW_CAUSES;
+    built once per key, read-only, and only for the fresh-cause draw.
+
+    Summed out, they multiply the off probability by (1 - lam p)^j, so
+    row j is ``log_pmf_table(lam, epsilon, k, xlogy(j, 1 - lam p))``."""
+    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
+    fresh = log_pmf_table(lam, epsilon, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
+    fresh = fresh.reshape(MAX_NEW_CAUSES + 1, -1)
+    fresh.flags.writeable = False
+    return fresh
 
 
 def flat_index(x, counts, c_max: int) -> np.ndarray:
@@ -184,13 +193,24 @@ def flat_index(x, counts, c_max: int) -> np.ndarray:
     return idx
 
 
-def log_likelihood_from_counts(X, counts, lam: float, epsilon: float) -> float:
-    """Total log-likelihood given the cause-count matrix counts = Z @ Y."""
+def likelihood_index(X, counts) -> tuple[int, np.ndarray]:
+    """(c_max, idx): the largest count and the flat index of every entry
+    into the table at that cap, all a likelihood over counts = Z @ Y
+    gathers; one index serves every (lam, epsilon)."""
     counts = np.asarray(counts)
     c_max = int(counts.max(initial=0))
-    table = shared_log_pmf_table(lam, epsilon, c_max).ravel()
-    idx = flat_index(np.asarray(X) == 1, counts, c_max)  # as log_pmf_noisy_or reads x
-    return float(table.take(idx).sum())
+    return c_max, flat_index(np.asarray(X) == 1, counts, c_max)  # as log_pmf_noisy_or reads x
+
+
+def log_likelihood_at(index: tuple[int, np.ndarray], lam: float, epsilon: float) -> float:
+    """Total log-likelihood at the entries of ``likelihood_index``."""
+    c_max, idx = index
+    return float(shared_log_pmf_table(lam, epsilon, c_max).ravel().take(idx).sum())
+
+
+def log_likelihood_from_counts(X, counts, lam: float, epsilon: float) -> float:
+    """Total log-likelihood given the cause-count matrix counts = Z @ Y."""
+    return log_likelihood_at(likelihood_index(X, counts), lam, epsilon)
 
 
 def log_likelihood(X, Z, Y, params: ModelParams) -> float:

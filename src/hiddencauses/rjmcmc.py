@@ -4,7 +4,10 @@ The model keeps an explicit dimension K >= 1 with the finite beta-
 Bernoulli prior over Z's columns and a prior P(K) over the dimension.
 One sweep visits rows in ascending order; each row gets one birth/death
 proposal on a uniformly chosen column, a Gibbs pass over its Z entries,
-and a full resample of Y.
+and a full resample of Y.  The Gibbs pass scans Y's rows once and takes
+the entries' likelihood pairs from the row kernel of the unbounded
+sampler (``gibbs.z_row``), one gather for the row and one more after
+each flip; each entry still draws its own uniform, in column order.
 
 Birth appends an all-zero column of Z plus a fresh Bernoulli(p) row of Y
 and is accepted with probability
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .gibbs import _sample_z_given_theta, resample_all_y
+from .gibbs import _sample_z_given_theta, resample_all_y, z_row
 from .model import SamplerState, flat_index, log_prior_Z_finite_from_sums
 
 
@@ -225,25 +228,36 @@ def finite_theta_bar(
 
 
 def finite_conditional_z(
-    state: FiniteState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator
+    state: FiniteState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator,
+    active: np.ndarray | None = None, ll: list[float] | None = None,
 ) -> int:
-    """Resample z[i, k] under the finite prior (valid for m_minus = 0);
-    row_idx is row i's flat table index (see ``_sample_z_given_theta``).
-    Y is redrawn after every row, so cause k's active trials are scanned
-    here."""
+    """Resample z[i, k] under the finite prior (valid for m_minus = 0).
+    row_idx is row i's flat table index, active cause k's active trials
+    (scanned here when not given) and ll the entry's log-likelihood pair
+    (see ``gibbs._sample_z_given_theta``)."""
+    if active is None:
+        active = state.Y[k].nonzero()[0]
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     theta_bar = finite_theta_bar(
         m_minus, state.n_rows, state.k, state.params.alpha, state.predictive
     )
-    return _sample_z_given_theta(state, i, k, row_idx, state.Y[k].nonzero()[0], rng, theta_bar)
+    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar, ll)
+
+
+def _z_pass(state: FiniteState, i: int, X, active: list, rng: np.random.Generator) -> None:
+    """Draw every z entry of row i in column order; active[k] holds cause
+    k's active trials."""
+    row_idx = flat_index(X[i], state.counts[i], state.k)
+    for k, ll in z_row(state, i, list(range(state.k)), row_idx, active):
+        finite_conditional_z(state, i, k, row_idx, rng, active[k], ll)
 
 
 def finite_gibbs_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:
-    """One fixed-dimension sweep: every z entry, then every activation row."""
+    """One fixed-dimension sweep: every z entry, then every activation row.
+    Y is fixed until then, so each activation row is scanned once."""
+    active = [y.nonzero()[0] for y in state.Y]
     for i in range(state.n_rows):
-        row_idx = flat_index(X[i], state.counts[i], state.k)
-        for k in range(state.k):
-            finite_conditional_z(state, i, k, row_idx, rng)
+        _z_pass(state, i, X, active, rng)
     resample_all_y(state, X, rng)
     return state
 
@@ -251,7 +265,8 @@ def finite_gibbs_sweep(state: FiniteState, X, rng: np.random.Generator) -> Finit
 def rjmcmc_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:
     """One full sweep.  Per row: one dimension move on a uniformly chosen
     column (birth if it is linked, death if not), a Gibbs pass over the
-    row's Z entries, and a resample of all of Y."""
+    row's Z entries, and a resample of all of Y.  Y changes after every
+    row, so each row scans the activation rows once, after its move."""
     params = state.params
     for i in range(state.n_rows):
         k_pick = int(rng.integers(state.k))
@@ -260,8 +275,6 @@ def rjmcmc_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState
             birth_acceptance(state, proposed, rng)
         else:
             death_acceptance(state, k_pick, rng)
-        row_idx = flat_index(X[i], state.counts[i], state.k)
-        for k in range(state.k):
-            finite_conditional_z(state, i, k, row_idx, rng)
+        _z_pass(state, i, X, [y.nonzero()[0] for y in state.Y], rng)
         resample_all_y(state, X, rng)
     return state

@@ -11,7 +11,7 @@ from .gibbs import gibbs_sweep
 from .harness import PosteriorSummary, SummaryAccumulator
 from .hypers import MH_STEP, mh_step_rate, sample_alpha, sample_p
 from .ibp import harmonic_number
-from .model import (ModelParams, SamplerState, as_binary_matrix, log_joint,
+from .model import (ModelParams, SamplerState, as_binary_matrix, likelihood_index, log_joint,
                     log_likelihood_from_counts)
 from .rjmcmc import FiniteState, ShiftedPoissonK, rjmcmc_sweep
 
@@ -138,8 +138,9 @@ def step(
     (rjmcmc_sweep if finite else gibbs_sweep)(state, X, rng)
     if not infer_hypers:
         return False, False, None
-    _, lam_accepted, ll = mh_step_rate("lam", state, X, rng, mh_step)
-    _, eps_accepted, ll = mh_step_rate("epsilon", state, X, rng, mh_step, ll)
+    index = likelihood_index(X, state.counts)  # neither rate step moves the counts
+    _, lam_accepted, ll = mh_step_rate("lam", state, X, rng, mh_step, None, index)
+    _, eps_accepted, ll = mh_step_rate("epsilon", state, X, rng, mh_step, ll, index)
     state.params = state.params.replace(p=sample_p(state.Y, rng))
     if not finite:
         state.params = state.params.replace(alpha=sample_alpha(state.kplus, state.n_rows, rng))

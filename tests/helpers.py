@@ -5,8 +5,8 @@
 vectorized ``resample_y_row`` must reproduce draw for draw.
 ``reference_z_entry`` and ``reference_resample_all_y`` are the z-entry
 gather and the per-row Y pass as they were before the samplers kept one
-flat index per row and drew one block of uniforms per Y pass; the
-samplers must still match them draw for draw.
+flat index per row, gathered a row's entries at once and drew one block
+of uniforms per Y pass; the samplers must still match them draw for draw.
 ``reference_fresh_cause_log_weights`` builds the fresh-cause weights from
 the elementwise kernel, one term per distinct (x, count) pair in the order
 of the histogram the sampler sums over.
@@ -66,23 +66,29 @@ def gibbs_sample_y_entry(state: SamplerState, k: int, t: int, X, rng: np.random.
     return new
 
 
+def reference_z_log_likelihoods(state: SamplerState, i: int, k: int, X) -> list[float]:
+    """[ll0, ll1] of z[i, k] = 0 and 1, gathered from X and the counts on
+    cause k's active trials alone."""
+    params = state.params
+    active = state.Y[k].nonzero()[0]
+    if not active.size:
+        return [0.0, 0.0]
+    table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
+    idx = flat_index(X[i, active], state.counts[i, active], state.k)
+    idx -= state.Z[i, k]
+    ll0 = float(table.take(idx).sum())
+    idx += 1
+    return [ll0, float(table.take(idx).sum())]
+
+
 def reference_z_entry(
     state: SamplerState, i: int, k: int, X, rng: np.random.Generator, theta_bar: float
 ) -> int:
     """Two-point draw of z[i, k] that gathers from X and the counts at
-    each call."""
-    params = state.params
+    each call (``reference_z_log_likelihoods``)."""
     old = int(state.Z[i, k])
     active = state.Y[k].nonzero()[0]
-    if active.size:
-        table = shared_log_pmf_table(params.lam, params.epsilon, state.k).ravel()
-        idx = flat_index(X[i, active], state.counts[i, active], state.k)
-        idx -= old
-        ll0 = float(table.take(idx).sum())
-        idx += 1
-        ll1 = float(table.take(idx).sum())
-    else:
-        ll0 = ll1 = 0.0
+    ll0, ll1 = reference_z_log_likelihoods(state, i, k, X)
     logw1 = (math.log(theta_bar) if theta_bar > 0 else -math.inf) + ll1
     logw0 = (math.log1p(-theta_bar) if theta_bar < 1 else -math.inf) + ll0
     new = _two_point_draw(logw1, logw0, rng)

@@ -18,6 +18,7 @@ from helpers import (
     reference_fresh_cause_log_weights,
     reference_resample_all_y,
     reference_z_entry,
+    reference_z_log_likelihoods,
     row_index,
 )
 from hiddencauses import (
@@ -40,6 +41,7 @@ from hiddencauses.gibbs import (
 from hiddencauses.model import (
     draw_tables,
     flat_index,
+    fresh_cause_table,
     log_likelihood_from_counts,
     log_pmf_noisy_or,
     log_pmf_table,
@@ -252,13 +254,15 @@ class TestSharedTables:
 
     def test_shared_tables_are_read_only(self):
         tables = draw_tables(0.9, 0.01, 0.1, 4)
-        for table in (shared_log_pmf_table(0.9, 0.01, 4), *tables[:3]):
+        fresh = fresh_cause_table(0.9, 0.01, 0.1, 4)
+        for table in (shared_log_pmf_table(0.9, 0.01, 4), tables.log_pmf, tables.on_prob, fresh):
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0.0
             with pytest.raises(ValueError):
                 table.ravel()[0] = 0.0
         assert shared_log_pmf_table(0.9, 0.01, 4) is shared_log_pmf_table(0.9, 0.01, 4)
         assert draw_tables(0.9, 0.01, 0.1, 4) is tables
+        assert fresh_cause_table(0.9, 0.01, 0.1, 4) is fresh
 
 
 # ---------------------------------------------------------------------------
@@ -294,45 +298,73 @@ def _assert_same_state(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
-def _reference_passes(X):
+def _reference_passes(X, entries):
     """Patches that run the sweeps on the reference z gather and Y loop,
-    and the fresh-cause draw on an index built from the counts."""
+    and the fresh-cause draw on an index built from the counts.  Each z
+    entry is drawn by ``reference_z_entry``, which ignores the pair the
+    sweep hands over, and leaves the row's index built from the counts;
+    entries gets (i, k, old, new) per entry."""
     real_fresh = gibbs.sample_new_causes
 
-    def z_entry(state, i, k, row_idx, active, rng, theta_bar):
-        return reference_z_entry(state, i, k, X, rng, theta_bar)
+    def draw(state, i, k, row_idx, rng, theta_bar):
+        old = int(state.Z[i, k])
+        new = reference_z_entry(state, i, k, X, rng, theta_bar)
+        row_idx[:] = row_index(state, i, X)
+        entries.append((i, k, old, new))
+        return new
+
+    def gibbs_entry(state, i, k, row_idx, active, rng, ll=None):
+        m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
+        return draw(state, i, k, row_idx, rng, m_minus / state.n_rows)
+
+    def finite_entry(state, i, k, row_idx, rng, active=None, ll=None):
+        m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
+        return draw(state, i, k, row_idx, rng, rjmcmc.finite_theta_bar(
+            m_minus, state.n_rows, state.k, state.params.alpha, state.predictive))
 
     def fresh(state, i, X, row_idx, rng):
         return real_fresh(state, i, X, row_index(state, i, X), rng)
 
-    return [mock.patch.object(module, "_sample_z_given_theta", z_entry)
-            for module in (gibbs, rjmcmc)] + [
+    return [mock.patch.object(gibbs, "gibbs_sample_z_entry", gibbs_entry),
+            mock.patch.object(rjmcmc, "finite_conditional_z", finite_entry)] + [
         mock.patch.object(module, "resample_all_y", reference_resample_all_y)
         for module in (gibbs, rjmcmc)] + [
         mock.patch.object(gibbs, "sample_new_causes", fresh)]
 
 
-def _checked_row_index(X):
-    """Patches that assert, at every z entry, that the active trials
-    handed over are cause k's, and after it and at every fresh-cause
-    draw, that the row's flat index still equals one built from the
-    counts."""
-    real = gibbs._sample_z_given_theta
+def _checked_row_index(X, entries):
+    """Patches that assert, at every z entry, that the active trials and
+    the [ll0, ll1] pair handed over are cause k's and equal the reference
+    gather, and after it and at every fresh-cause draw, that the row's
+    flat index still equals one built from the counts; entries gets
+    (i, k, old, new) per entry."""
+    real_gibbs, real_finite = gibbs.gibbs_sample_z_entry, rjmcmc.finite_conditional_z
     real_fresh = gibbs.sample_new_causes
 
-    def z_entry(state, i, k, row_idx, active, rng, theta_bar):
+    def checked(draw, state, i, k, row_idx, active, ll):
         np.testing.assert_array_equal(active, state.Y[k].nonzero()[0])
-        new = real(state, i, k, row_idx, active, rng, theta_bar)
+        assert ll == reference_z_log_likelihoods(state, i, k, X)
+        old = int(state.Z[i, k])
+        new = draw()
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        entries.append((i, k, old, new))
         return new
+
+    def gibbs_entry(state, i, k, row_idx, active, rng, ll=None):
+        return checked(lambda: real_gibbs(state, i, k, row_idx, active, rng, ll),
+                       state, i, k, row_idx, active, ll)
+
+    def finite_entry(state, i, k, row_idx, rng, active=None, ll=None):
+        return checked(lambda: real_finite(state, i, k, row_idx, rng, active, ll),
+                       state, i, k, row_idx, active, ll)
 
     def fresh(state, i, X, row_idx, rng):
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
         return real_fresh(state, i, X, row_idx, rng)
 
-    return [mock.patch.object(module, "_sample_z_given_theta", z_entry)
-            for module in (gibbs, rjmcmc)] + [
-        mock.patch.object(gibbs, "sample_new_causes", fresh)]
+    return [mock.patch.object(gibbs, "gibbs_sample_z_entry", gibbs_entry),
+            mock.patch.object(rjmcmc, "finite_conditional_z", finite_entry),
+            mock.patch.object(gibbs, "sample_new_causes", fresh)]
 
 
 def _run(sweep, state, X, seed, patches):
@@ -352,6 +384,32 @@ SWEEPS = {
     "finite": (FiniteState, rjmcmc.finite_gibbs_sweep),
     "rjmcmc": (FiniteState, rjmcmc.rjmcmc_sweep),
 }
+
+
+# one row, an empty active list, a column with z = 1, and -inf table
+# entries from epsilon = 0 and lam = 1
+_KERNEL_EXAMPLE = (
+    np.array([[1, 0, 1], [1, 1, 0]], dtype=np.int8),
+    np.array([[1, 1, 0, 1], [0, 0, 0, 0], [1, 0, 1, 1]], dtype=np.int8),
+    np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=np.int8),
+    ModelParams(epsilon=0.0, lam=1.0, p=0.3, alpha=1.5),
+)
+
+
+class TestRowKernel:
+    @given(case=matrices(min_k=1), i=st.integers(0, 63), order=st.permutations(range(6)),
+           size=st.integers(1, 6))
+    @example(case=_KERNEL_EXAMPLE, i=0, order=[2, 1, 0, 3, 4, 5], size=3)
+    def test_pairs_equal_per_entry_gathers(self, case, i, order, size):
+        """Bit for bit, each column's [ll0, ll1] from the row's one gather
+        equals the per-entry gather of ``reference_z_log_likelihoods``."""
+        Z, Y, X, params = case
+        state = SamplerState.from_matrices(Z, Y, params)
+        i %= state.n_rows
+        cols = [k for k in order if k < state.k][:size]
+        actives = [state.Y[k].nonzero()[0] for k in cols]
+        got = gibbs.z_log_likelihoods(state, i, cols, row_index(state, i, X), actives)
+        assert got == [reference_z_log_likelihoods(state, i, k, X) for k in cols]
 
 
 class TestPassesMatchReference:
@@ -414,13 +472,40 @@ class TestPassesMatchReference:
         cls, run = SWEEPS[sweep]
         state = cls.from_matrices(Z, Y, params)
         ref = cls.from_matrices(Z, Y, params)
-        got = _run(run, state, X, seed, _checked_row_index(X))
-        want = _run(run, ref, X, seed, _reference_passes(X))
+        entries, ref_entries = [], []
+        got = _run(run, state, X, seed, _checked_row_index(X, entries))
+        want = _run(run, ref, X, seed, _reference_passes(X, ref_entries))
         assert (got is None) == (want is None)
+        assert entries == ref_entries
         if got is not None:
             assert got == want
             _assert_same_state(state, ref)
             check_consistency(state)
+            # every row of a finite state draws each of its K >= 1 entries
+            assert sweep == "gibbs" or len(entries) >= state.n_rows
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_entries_after_a_flip_read_the_moved_index(self, sweep):
+        """Row 0's first entry must flip (x = 1 with no cause and no leak),
+        which moves row 0's counts on trial 0, shared by all three causes.
+        Each later entry reads them: on the pre-flip counts, cause 1 would
+        meet both states at zero mass.  Row 1 links every cause, so the
+        gibbs sweep visits all three columns of row 0."""
+        Z = np.array([[0, 0, 0], [1, 1, 1]], dtype=np.int8)
+        Y = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0]], dtype=np.int8)
+        X = np.array([[1, 0, 0, 0], [1, 1, 1, 0]], dtype=np.int8)
+        params = ModelParams(epsilon=0.0, lam=1.0, p=0.3, alpha=1.5)
+        cls, run = SWEEPS[sweep]
+        for seed in range(5):
+            state = cls.from_matrices(Z, Y, params)
+            ref = cls.from_matrices(Z, Y, params)
+            entries, ref_entries = [], []
+            got = _run(run, state, X, seed, _checked_row_index(X, entries))
+            want = _run(run, ref, X, seed, _reference_passes(X, ref_entries))
+            assert got is not None and got == want
+            assert entries == ref_entries
+            assert entries[:3] == [(0, 0, 0, 1), (0, 1, 0, 0), (0, 2, 0, 0)]
+            _assert_same_state(state, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +549,28 @@ class TestOnProbTable:
 class TestDrawTables:
     @given(lam=lams, eps=epsilons, p=st.floats(0.0, 1.0))
     def test_fields_equal_their_reference_builds(self, lam, eps, p):
-        """Bit for bit, each field of the bundle is the table its readers
-        once built themselves, every array is read-only, and one key
-        returns one object."""
+        """Bit for bit, each field of the bundle and the fresh-cause table
+        is the table its readers once built themselves, every array is
+        read-only, and one key returns one object."""
         ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
         for eps, lam, p in [(eps, lam, p)] + BOUNDARY_PARAMS:
             for k in (0, 1, 4):
                 tables = draw_tables(lam, eps, p, k)
                 assert draw_tables(lam, eps, p, k) is tables
+                fresh_table = fresh_cause_table(lam, eps, p, k)
+                assert fresh_cause_table(lam, eps, p, k) is fresh_table
                 fresh = log_pmf_table(lam, eps, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
                 with np.errstate(divide="ignore"):
                     log_p1, log_p0 = np.log(p), np.log1p(-p)
                 for got, want in ((tables.log_pmf, log_pmf_table(lam, eps, k).ravel()),
-                                  (tables.fresh, fresh.reshape(MAX_NEW_CAUSES + 1, -1)),
+                                  (fresh_table, fresh.reshape(MAX_NEW_CAUSES + 1, -1)),
                                   (np.array([tables.log_p1, tables.log_p0]),
                                    np.array([log_p1, log_p0]))):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                 assert tables.on_prob.shape == (2 * k + 2, 2 * k + 2)
                 assert tables.degenerate is bool(np.isnan(tables.on_prob).any())
-                for table in tables[:3]:
+                for table in (tables.log_pmf, tables.on_prob, fresh_table):
                     assert not table.flags.writeable
 
 
