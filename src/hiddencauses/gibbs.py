@@ -16,22 +16,23 @@ singleton removal keep it current, and the fresh-cause weights read it
 through its histogram: 2(K+1) bins, one product with the fresh-cause
 table, where T runs to thousands of trials.
 
-A row's z entries take their two log-likelihoods from one kernel,
-``z_log_likelihoods``: one gather of the row's index on the joined
-active-trial lists and one take of both states' terms, where gathering
-each entry's few dozen trials apart costs more in numpy calls than in
-arithmetic.  ``z_row`` hands the pairs out in column order and, after a
-flip has moved the index, computes the remaining columns' pairs again.
-The entries still draw one by one, one uniform each, in order: each
-entry's prior weight and every later pair depend on the draws before it.
+Every conditional draw is two-point: it adds the prior's log-odds to the
+entries of ``model.draw_tables(...).log_odds`` at the flat indices it
+touches, and a NaN sum, both states at zero mass, raises
+``DegenerateModelError``.  A row's z entries take their sums from one
+kernel, ``z_log_odds``: one gather of the row's index on the joined
+active-trial lists and one take of the table, where gathering each
+entry's few dozen trials apart costs more in numpy calls than in
+arithmetic.  ``z_row`` hands them out in column order and, after a flip
+has moved the index, computes the remaining columns' values again.  The
+entries still draw one by one, one uniform each, in order: each entry's
+prior weight and every later log-odds depend on the draws before it.
 
-Every draw reads its lookups from ``model.draw_tables``, built once per
-(lam, epsilon, p, K), and the fresh-cause draw from
-``model.fresh_cause_table``.  An activation row whose cause links one or two
-rows (every fresh cause, and most causes on long data) gathers its
-on-probabilities from the bundle's ``on_prob``: the table applies the
-summed log-odds' floating-point operations in their order, so the draws
-are those of the summed path, which causes with three or more rows keep.
+An activation row whose cause links one or two rows (every fresh cause,
+and most causes on long data) gathers its on-probabilities from the
+bundle's ``on_prob``, which adds in the summed path's order, so the
+draws are those of the summed path, which causes with three or more rows
+keep.  The fresh-cause draw reads ``model.fresh_cause_table``.
 """
 
 import math
@@ -44,14 +45,17 @@ from .model import (MAX_NEW_CAUSES, DegenerateModelError, SamplerState, draw_tab
                     fresh_cause_table)
 
 
-_BOTH_STATES = np.array([[0], [1]])  # z = 0 and z = 1 from an index that leaves cause k out
+# k = 0..MAX_NEW_CAUSES fresh causes and log k!, their Poisson prior's terms free of alpha and N
+_FRESH_KS = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
+_FRESH_LOG_FACTORIALS = gammaln(_FRESH_KS + 1.0)
 
 
-def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int:
-    """Draw from {0, 1} with P(1) proportional to exp(logw1)."""
-    if logw1 == -math.inf and logw0 == -math.inf:
+def _two_point_draw(logit: float, rng: np.random.Generator) -> int:
+    """Draw from {0, 1} with log-odds logit of a 1; NaN marks both states
+    at zero mass."""
+    if math.isnan(logit):
         raise DegenerateModelError("both states of a binary draw have zero mass")
-    return 1 if rng.random() < expit(logw1 - logw0) else 0
+    return 1 if rng.random() < expit(logit) else 0
 
 
 def _set_z(state: SamplerState, i: int, k: int, new: int, row_idx: np.ndarray,
@@ -65,22 +69,21 @@ def _set_z(state: SamplerState, i: int, k: int, new: int, row_idx: np.ndarray,
     row_idx[active] += diff
 
 
-def z_log_likelihoods(
+def z_log_odds(
     state: SamplerState, i: int, cols: list[int], row_idx: np.ndarray, actives: list,
-) -> list[list[float]]:
-    """[ll0, ll1], the log-likelihoods of z[i, k] = 0 and 1, for each k in
-    cols, actives[j] holding the active trials of cause cols[j].
+) -> list[float]:
+    """The log-likelihood ratio of z[i, k] = 1 against z[i, k] = 0 for
+    each k in cols, actives[j] holding the active trials of cause cols[j].
 
     row_idx is ``flat_index(X[i], state.counts[i], state.k)``.  The row's
     index is gathered once on the joined lists, the segments of causes
-    with z[i, k] = 1 drop that cause's count, and one take reads both
-    states' terms.  Each column sums its own segment, which adds in the
-    order of a per-entry ``take(idx).sum()`` (``np.add.reduceat`` does
-    not), so the pairs equal the per-entry gathers bit for bit.  A cause
-    with no active trials gets [0.0, 0.0]: it leaves the likelihood
-    untouched."""
+    with z[i, k] = 1 drop that cause's count, and one take reads D there.
+    Each column sums its own segment, which adds in the order of a
+    per-entry ``take(idx).sum()`` (``np.add.reduceat`` does not).  A
+    cause with no active trials gets 0.0: it leaves the likelihood
+    untouched.  NaN marks both states at zero mass."""
     params = state.params
-    table = draw_tables(params.lam, params.epsilon, params.p, state.k).log_pmf
+    log_odds = draw_tables(params.lam, params.epsilon, params.p, state.k).log_odds
     idx = row_idx.take(np.concatenate(actives))
     ends = list(accumulate(map(len, actives)))
     starts = [0, *ends[:-1]]
@@ -88,22 +91,23 @@ def z_log_likelihoods(
     for k, s, e in zip(cols, starts, ends):
         if z[k]:
             idx[s:e] -= 1
-    both = table.take(idx + _BOTH_STATES)
-    return [np.add.reduce(both[:, s:e], 1).tolist() for s, e in zip(starts, ends)]
+    terms = log_odds.take(idx)
+    with np.errstate(invalid="ignore"):  # +inf + -inf: both states at zero mass
+        return [float(np.add.reduce(terms[s:e])) for s, e in zip(starts, ends)]
 
 
 def z_row(state: SamplerState, i: int, cols: list[int], row_idx: np.ndarray, active: list):
-    """Yield (k, [ll0, ll1]) for each k in cols in order, active[k] being
+    """Yield (k, log_odds) for each k in cols in order, active[k] being
     cause k's active trials, for the caller to draw z[i, k] from.
 
-    The row's pairs come from one ``z_log_likelihoods`` call.  Once a
-    draw flips z[i, k], row_idx has moved on cause k's trials, so the
-    pairs of the columns still to come are computed again."""
+    The row's values come from one ``z_log_odds`` call.  Once a draw
+    flips z[i, k], row_idx has moved on cause k's trials, so the values
+    of the columns still to come are computed again."""
     while cols:
-        pairs = z_log_likelihoods(state, i, cols, row_idx, [active[k] for k in cols])
+        values = z_log_odds(state, i, cols, row_idx, [active[k] for k in cols])
         z = state.Z[i].tolist()
-        for j, (k, ll) in enumerate(zip(cols, pairs), 1):
-            yield k, ll
+        for j, (k, log_odds) in enumerate(zip(cols, values), 1):
+            yield k, log_odds
             if state.Z[i, k] != z[k]:
                 cols = cols[j:]
                 break
@@ -113,20 +117,18 @@ def z_row(state: SamplerState, i: int, cols: list[int], row_idx: np.ndarray, act
 
 def _sample_z_given_theta(
     state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
-    rng: np.random.Generator, theta_bar: float, ll: list[float] | None = None,
+    rng: np.random.Generator, theta_bar: float, log_odds: float,
 ) -> int:
     """Two-point draw of z[i, k] with prior weight theta_bar on 1.
 
     row_idx is ``flat_index(X[i], state.counts[i], state.k)``; a flip
     updates it along with the counts.  active is ``state.Y[k].nonzero()[0]``,
-    the trials on which cause k is active.  ll is the entry's [ll0, ll1]
-    from ``z_log_likelihoods``, computed here when not given."""
-    if ll is None:
-        (ll,) = z_log_likelihoods(state, i, [k], row_idx, [active])
-    ll0, ll1 = ll
-    logw1 = (math.log(theta_bar) if theta_bar > 0 else -math.inf) + ll1
-    logw0 = (math.log1p(-theta_bar) if theta_bar < 1 else -math.inf) + ll0
-    new = _two_point_draw(logw1, logw0, rng)
+    the trials on which cause k is active.  log_odds is the entry's
+    log-likelihood ratio from ``z_log_odds``; the prior's log-odds,
+    +-inf at theta_bar in {0, 1}, is added to it."""
+    prior = ((math.log(theta_bar) if theta_bar > 0 else -math.inf)
+             - (math.log1p(-theta_bar) if theta_bar < 1 else -math.inf))
+    new = _two_point_draw(prior + log_odds, rng)
     if new != state.Z[i, k]:
         _set_z(state, i, k, new, row_idx, active)
     return new
@@ -134,18 +136,19 @@ def _sample_z_given_theta(
 
 def gibbs_sample_z_entry(
     state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
-    rng: np.random.Generator, ll: list[float] | None = None,
+    rng: np.random.Generator, log_odds: float,
 ) -> int:
     """Resample z[i, k] given everything else, for a column some other row
     still uses (m_minus > 0).  The prior weight on z = 1 is m_minus / N.
     row_idx is row i's flat table index, active cause k's active trials
-    and ll the entry's log-likelihood pair (see ``_sample_z_given_theta``).
+    and log_odds the entry's log-likelihood ratio (see
+    ``_sample_z_given_theta``).
     """
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     if m_minus <= 0:
         raise ValueError("column is a singleton of row i; handled by sample_new_causes")
     theta_bar = m_minus / state.n_rows
-    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar, ll)
+    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar, log_odds)
 
 
 def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
@@ -175,8 +178,7 @@ def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.nda
     seen = hist.nonzero()[0]
     # one row per occupied bin: a sum over axis 0 adds the rows in order
     loglik = (fresh.T[seen] * hist[seen, None]).sum(axis=0)
-    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
-    return loglik + xlogy(ks, params.alpha / state.n_rows) - gammaln(ks + 1.0)
+    return loglik + xlogy(_FRESH_KS, params.alpha / state.n_rows) - _FRESH_LOG_FACTORIALS
 
 
 def sample_new_causes(
@@ -198,7 +200,7 @@ def sample_new_causes(
         raise DegenerateModelError("no feasible number of fresh causes for this row")
     w = np.exp(logw - top)
     cdf = np.cumsum(w)
-    k_new = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    k_new = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
     k_new = min(k_new, MAX_NEW_CAUSES)
     if k_new:
         cols = np.zeros((n, k_new), dtype=np.int8)
@@ -221,14 +223,11 @@ def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) ->
     tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
     idx = flat_index(X[rows], state.counts[rows], state.k)
     idx -= state.Y[k]
-    ll0 = tables.log_pmf.take(idx).sum(axis=0)
-    idx += 1
-    ll1 = tables.log_pmf.take(idx).sum(axis=0)
-    logw1 = tables.log_p1 + ll1
-    logw0 = tables.log_p0 + ll0
-    if tables.degenerate and (np.isneginf(logw1) & np.isneginf(logw0)).any():
+    with np.errstate(invalid="ignore"):  # +inf + -inf: both states at zero mass
+        log_odds = tables.prior_log_odds + tables.log_odds.take(idx).sum(axis=0)
+    if tables.degenerate and np.isnan(log_odds).any():
         raise DegenerateModelError("both states of an activation draw have zero mass")
-    return logw1 - logw0
+    return log_odds
 
 
 def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray) -> None:
@@ -237,14 +236,14 @@ def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray) -> None:
 
     A cause linked to one or two rows gathers its on-probabilities from
     the ``draw_tables`` entry of its rows' flat indices, one per trial;
-    any other sums its rows' log-likelihoods."""
+    any other sums its rows' log-odds (``_y_conditional_log_odds``)."""
     rows = state.Z[:, k].nonzero()[0]
     if 0 < rows.size <= 2:
         params = state.params
         tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
         idx = flat_index(X[rows], state.counts[rows], state.k)
         idx -= state.Y[k]
-        # a single row pairs with index K, which holds log-likelihood 0
+        # a single row pairs with index K, which holds log-odds 0
         pair = (idx[1] if rows.size == 2 else state.k) * tables.on_prob.shape[0] + idx[0]
         prob = tables.on_prob.take(pair)
         if tables.degenerate and np.isnan(prob).any():
@@ -271,7 +270,7 @@ def resample_all_y(state: SamplerState, X, rng: np.random.Generator) -> None:
         params = state.params
         tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
         unlinked = ~linked
-        state.Y[unlinked] = u[unlinked] < expit(tables.log_p1 - tables.log_p0)
+        state.Y[unlinked] = u[unlinked] < expit(tables.prior_log_odds)
 
 
 def compact_state(state: SamplerState) -> SamplerState:
@@ -299,8 +298,8 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
         # no entry of row i moves m_minus: a flip moves z[i, k] and column_sums[k] together
         m_minus = (state.column_sums - state.Z[i]).tolist()
         shared = [k for k, m in enumerate(m_minus) if m > 0]
-        for k, ll in z_row(state, i, shared, row_idx, active):
-            gibbs_sample_z_entry(state, i, k, row_idx, active[k], rng, ll)
+        for k, log_odds in z_row(state, i, shared, row_idx, active):
+            gibbs_sample_z_entry(state, i, k, row_idx, active[k], rng, log_odds)
         for k, m in enumerate(m_minus):
             if m == 0 and state.Z[i, k]:
                 _set_z(state, i, k, 0, row_idx, active[k])

@@ -24,8 +24,10 @@ table once per (lam, epsilon, cap) and hands out the same read-only
 array, and the MH step and the trace gather their likelihood terms from
 it by flat index x (cap + 1) + count (``likelihood_index``).
 ``draw_tables`` builds, once per (lam, epsilon, p, K), what the
-conditional draws of both samplers read: that table at cap K and the
-on-probability of an activation whose cause links one or two rows.
+conditional draws of both samplers read: the log-odds table
+D[x, c] = L[x, c + 1] - L[x, c] of that table at cap K, the prior's
+log-odds, and the on-probability of an activation whose cause links one
+or two rows.
 ``fresh_cause_table``, cached apart, holds the fresh-cause rows that
 only the unbounded sampler's fresh-cause draw reads.
 """
@@ -133,11 +135,10 @@ class DrawTables(NamedTuple):
     """What the conditional draws read under one (lam, epsilon, p, K);
     every array is read-only.  See ``draw_tables``."""
 
-    log_pmf: np.ndarray  # shared_log_pmf_table(lam, epsilon, K), raveled
+    log_odds: np.ndarray  # D[x, c] = L[x, c + 1] - L[x, c], 0 at c = K, raveled
     on_prob: np.ndarray  # [b, a]: P(y = 1 | rest) of a cause on rows at flat indices a, b
     degenerate: bool  # on_prob holds a NaN
-    log_p1: float  # log p
-    log_p0: float  # log(1 - p)
+    prior_log_odds: float  # log p - log(1 - p)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -145,29 +146,29 @@ def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
     """The lookups of the conditional draws at K = k, built once per key;
     the fresh-cause rows are ``fresh_cause_table``'s.
 
-    Z Y <= K, so tables up to count K cover every row.  ``on_prob``
-    serves an activation whose cause links one or two rows, taken with
-    the cause's own activation left out, so count <= K - 1.
-    Index K (x = 0, count = K) is never a row's and holds log-likelihood
-    0 in both states, so row K serves a cause with one row: L + 0.0 == L.
-    Every entry applies the floating-point operations of the summed
-    log-odds in their order, so it equals expit of them bit for bit; NaN
-    marks both states at zero mass.  Unless ``degenerate``, no activation
-    draw meets both states at zero mass, whatever its number of rows: no
-    log term is +inf, so that takes a -inf on each side, and the entry of
-    the two rows (or of one row and none) that carry them would be NaN.
+    A two-point draw needs only the log-odds of a 1 against a 0: the
+    prior's plus, over the entries it touches, D[x, c] at flat index
+    x (K + 1) + c, c the entry's count without the drawn variable, so
+    c <= K - 1.  Index K (x = 0, count = K) holds 0, so row K of
+    ``on_prob`` serves a cause with one row: D + 0.0 == D.  ``on_prob``
+    adds in the summed path's order, so it equals expit of it bit for bit.
+
+    A sum is NaN exactly when both states have zero mass: it holds
+    -inf - (-inf), or +inf and -inf, the prior included.  Unless
+    ``degenerate``, no activation sum is NaN, whatever its number of
+    rows: the infinities it meets sit in one entry, or in two (or one
+    and the prior) whose ``on_prob`` entry is NaN.
     """
     table = shared_log_pmf_table(lam, epsilon, k)
-    off, on = np.zeros_like(table), np.zeros_like(table)
-    off[:, :-1] = table[:, :-1]
-    on[:, :-1] = table[:, 1:]
-    off, on = off.ravel(), on.ravel()
-    with np.errstate(divide="ignore"):
-        log_p1, log_p0 = float(np.log(p)), float(np.log1p(-p))
-    with np.errstate(invalid="ignore"):  # -inf - -inf is the NaN wanted
-        on_prob = expit((log_p1 + (on[:, None] + on)) - (log_p0 + (off[:, None] + off)))
+    log_odds = np.zeros_like(table)
+    with np.errstate(divide="ignore", invalid="ignore"):  # -inf - -inf is the NaN wanted
+        log_odds[:, :-1] = table[:, 1:] - table[:, :-1]
+        log_odds = log_odds.ravel()
+        prior_log_odds = float(np.log(p) - np.log1p(-p))
+        on_prob = expit(prior_log_odds + (log_odds[:, None] + log_odds))
+    log_odds.flags.writeable = False
     on_prob.flags.writeable = False
-    return DrawTables(table.ravel(), on_prob, bool(np.isnan(on_prob).any()), log_p1, log_p0)
+    return DrawTables(log_odds, on_prob, bool(np.isnan(on_prob).any()), prior_log_odds)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

@@ -5,7 +5,7 @@ Bernoulli prior over Z's columns and a prior P(K) over the dimension.
 One sweep visits rows in ascending order; each row gets one birth/death
 proposal on a uniformly chosen column, a Gibbs pass over its Z entries,
 and a full resample of Y.  The Gibbs pass scans Y's rows once and takes
-the entries' likelihood pairs from the row kernel of the unbounded
+the entries' log-likelihood ratios from the row kernel of the unbounded
 sampler (``gibbs.z_row``), one gather for the row and one more after
 each flip; each entry still draws its own uniform, in column order.
 
@@ -118,8 +118,6 @@ class FiniteState(SamplerState):
 
 
 def _matching_rows(Y: np.ndarray, row: np.ndarray) -> int:
-    if Y.shape[0] == 0:
-        return 0
     return int((Y == row[None, :]).all(axis=1).sum())
 
 
@@ -228,28 +226,26 @@ def finite_theta_bar(
 
 
 def finite_conditional_z(
-    state: FiniteState, i: int, k: int, row_idx: np.ndarray, rng: np.random.Generator,
-    active: np.ndarray | None = None, ll: list[float] | None = None,
+    state: FiniteState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
+    rng: np.random.Generator, log_odds: float,
 ) -> int:
     """Resample z[i, k] under the finite prior (valid for m_minus = 0).
     row_idx is row i's flat table index, active cause k's active trials
-    (scanned here when not given) and ll the entry's log-likelihood pair
-    (see ``gibbs._sample_z_given_theta``)."""
-    if active is None:
-        active = state.Y[k].nonzero()[0]
+    and log_odds the entry's log-likelihood ratio (see
+    ``gibbs._sample_z_given_theta``)."""
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     theta_bar = finite_theta_bar(
         m_minus, state.n_rows, state.k, state.params.alpha, state.predictive
     )
-    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar, ll)
+    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar, log_odds)
 
 
 def _z_pass(state: FiniteState, i: int, X, active: list, rng: np.random.Generator) -> None:
     """Draw every z entry of row i in column order; active[k] holds cause
     k's active trials."""
     row_idx = flat_index(X[i], state.counts[i], state.k)
-    for k, ll in z_row(state, i, list(range(state.k)), row_idx, active):
-        finite_conditional_z(state, i, k, row_idx, rng, active[k], ll)
+    for k, log_odds in z_row(state, i, list(range(state.k)), row_idx, active):
+        finite_conditional_z(state, i, k, row_idx, active[k], rng, log_odds)
 
 
 def finite_gibbs_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:

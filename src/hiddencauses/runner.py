@@ -111,14 +111,14 @@ def default_k_prior(alpha: float, n_rows: int) -> ShiftedPoissonK:
     return ShiftedPoissonK(mean=alpha * harmonic_number(n_rows))
 
 
-def _trace_record(iteration, state, X, wall_ms=None, ll=None) -> TraceRecord:
-    """The record of the state as it stands; ll is its log-likelihood when
-    the caller holds it, else it is read from ``state.counts``."""
+def _trace_record(iteration, state, X, wall_ms=None, log_lik=None) -> TraceRecord:
+    """The record of the state as it stands; log_lik is its log-likelihood
+    when the caller holds it, else it is read from ``state.counts``."""
     prior = "finite" if isinstance(state, FiniteState) else "ibp"
     params = state.params
-    if ll is None:
-        ll = log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
-    lj = log_joint(X, state.Z, state.Y, params, prior=prior, log_lik=ll)
+    if log_lik is None:
+        log_lik = log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
+    lj = log_joint(X, state.Z, state.Y, params, prior=prior, log_lik=log_lik)
     return TraceRecord(iteration=iteration, kplus=state.kplus, k=state.k,
                        epsilon=params.epsilon, lam=params.lam, p=params.p,
                        alpha=params.alpha, log_joint=lj, wall_ms=wall_ms)
@@ -192,7 +192,7 @@ def run_chain(
         if it > burn_in:
             acc.add(state)
         wall = (time.perf_counter() - tick) * 1e3 if timing else None
-        trace.append(_trace_record(it, state, X, wall_ms=wall, ll=ll))
+        trace.append(_trace_record(it, state, X, wall_ms=wall, log_lik=ll))
         if it in snapshot_at and acc.count:
             snapshots[it] = acc.summary()
     if acc.count == 0:

@@ -5,8 +5,11 @@
 vectorized ``resample_y_row`` must reproduce draw for draw.
 ``reference_z_entry`` and ``reference_resample_all_y`` are the z-entry
 gather and the per-row Y pass as they were before the samplers kept one
-flat index per row, gathered a row's entries at once and drew one block
-of uniforms per Y pass; the samplers must still match them draw for draw.
+flat index per row, gathered a row's entries at once, drew one block of
+uniforms per Y pass and summed log-odds in place of a pair of
+log-likelihoods; the samplers must still match them draw for draw.
+``reference_z_log_odds`` is the log-odds the samplers' z kernel must
+equal bit for bit, from the elementwise kernel.
 ``reference_fresh_cause_log_weights`` builds the fresh-cause weights from
 the elementwise kernel, one term per distinct (x, count) pair in the order
 of the histogram the sampler sums over.
@@ -17,7 +20,6 @@ import math
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from hiddencauses.gibbs import _two_point_draw
 from hiddencauses.model import (
     DegenerateModelError,
     SamplerState,
@@ -25,6 +27,13 @@ from hiddencauses.model import (
     log_pmf_noisy_or,
     shared_log_pmf_table,
 )
+
+
+def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int:
+    """Draw from {0, 1} with P(1) proportional to exp(logw1)."""
+    if logw1 == -math.inf and logw0 == -math.inf:
+        raise DegenerateModelError("both states of a binary draw have zero mass")
+    return 1 if rng.random() < expit(logw1 - logw0) else 0
 
 
 def row_index(state: SamplerState, i: int, X) -> np.ndarray:
@@ -79,6 +88,20 @@ def reference_z_log_likelihoods(state: SamplerState, i: int, k: int, X) -> list[
     ll0 = float(table.take(idx).sum())
     idx += 1
     return [ll0, float(table.take(idx).sum())]
+
+
+def reference_z_log_odds(state: SamplerState, i: int, k: int, X) -> float:
+    """log P(x | c + 1) - log P(x | c) from the elementwise kernel on cause
+    k's active trials, c row i's counts there without cause k, summed in
+    trial order; NaN where both states of z[i, k] have zero mass."""
+    params = state.params
+    active = state.Y[k].nonzero()[0]
+    base = state.counts[i, active] - state.Z[i, k]
+    x = X[i, active]
+    with np.errstate(invalid="ignore"):
+        terms = (log_pmf_noisy_or(x, base + 1, params.lam, params.epsilon)
+                 - log_pmf_noisy_or(x, base, params.lam, params.epsilon))
+        return float(terms.sum())
 
 
 def reference_z_entry(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from helpers import check_consistency, gibbs_sample_y_entry, row_index
+from helpers import check_consistency, gibbs_sample_y_entry, reference_z_log_odds, row_index
 from hiddencauses import (
     DegenerateModelError,
     ModelParams,
@@ -45,7 +45,9 @@ class TestZEntryConditional:
         rng = np.random.default_rng(seed)
         row_idx = row_index(state, 0, X)  # each flip updates it
         active = state.Y[0].nonzero()[0]
-        hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng) for _ in range(n_draws))
+        hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng,
+                                        reference_z_log_odds(state, 0, 0, X))
+                   for _ in range(n_draws))
         check_consistency(state)
         return hits / n_draws
 
@@ -73,7 +75,9 @@ class TestZEntryConditional:
         X = np.array([[1, 1], [1, 1]], dtype=np.int8)
         rng = np.random.default_rng(2)
         row_idx, active = row_index(state, 0, X), state.Y[0].nonzero()[0]
-        draws = [gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng) for _ in range(20_000)]
+        draws = [gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng,
+                                      reference_z_log_odds(state, 0, 0, X))
+                 for _ in range(20_000)]
         freq = np.mean(draws)
         assert abs(freq - 0.5) < 4 * math.sqrt(0.25 / 20_000)
 
@@ -82,10 +86,11 @@ class TestZEntryConditional:
         Z = np.array([[1], [0]], dtype=np.int8)
         Y = np.array([[1, 0]], dtype=np.int8)
         state = SamplerState.from_matrices(Z, Y, PARAMS)
-        row_idx = row_index(state, 0, np.zeros((2, 2), dtype=np.int8))
-        active = state.Y[0].nonzero()[0]
+        X = np.zeros((2, 2), dtype=np.int8)
+        row_idx, active = row_index(state, 0, X), state.Y[0].nonzero()[0]
         with pytest.raises(ValueError):
-            gibbs_sample_z_entry(state, 0, 0, row_idx, active, np.random.default_rng(0))
+            gibbs_sample_z_entry(state, 0, 0, row_idx, active, np.random.default_rng(0),
+                                 reference_z_log_odds(state, 0, 0, X))
 
 
 class TestYEntryConditional:

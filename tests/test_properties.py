@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit, gammaln, xlogy
@@ -19,6 +19,7 @@ from helpers import (
     reference_resample_all_y,
     reference_z_entry,
     reference_z_log_likelihoods,
+    reference_z_log_odds,
     row_index,
 )
 from hiddencauses import (
@@ -110,11 +111,12 @@ class TestCachesUnderMoves:
         for move, a, b in moves:
             i, k = a % n, b % state.k
             if move == "z":
+                entry = (state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0], rng,
+                         reference_z_log_odds(state, i, k, X))
                 if state.column_sums[k] - state.Z[i, k] > 0:
-                    gibbs_sample_z_entry(state, i, k, row_index(state, i, X),
-                                         state.Y[k].nonzero()[0], rng)
+                    gibbs_sample_z_entry(*entry)
                 else:
-                    finite_conditional_z(state, i, k, row_index(state, i, X), rng)
+                    finite_conditional_z(*entry)
             elif move == "fresh":
                 sample_new_causes(state, i, X, row_index(state, i, X), rng)
             elif move == "y":
@@ -131,20 +133,6 @@ class TestCachesUnderMoves:
 # ---------------------------------------------------------------------------
 
 
-def _z_log_weights(state, i, k, X):
-    """(logw1, logw0) that the z-entry draw sees, at prior weight 1/2."""
-    seen = []
-
-    def record(logw1, logw0, rng):
-        seen.append((logw1, logw0))
-        return int(state.Z[i, k])  # keep z: the state stays as it is
-
-    with mock.patch.object(gibbs, "_two_point_draw", record):
-        gibbs._sample_z_given_theta(state, i, k, row_index(state, i, X),
-                                    state.Y[k].nonzero()[0], None, 0.5)
-    return seen[0]
-
-
 def _on_prob_gather(state, k, X, rows):
     """What cause k (one or two rows) reads from the on-probability table:
     entry [b, a] for the rows' flat indices a and b, [K, a] for one row."""
@@ -155,7 +143,9 @@ def _on_prob_gather(state, k, X, rows):
 
 
 def _elementwise_log_weights(state, k, X, rows):
-    """(logw1, logw0) of y[k, :] from the elementwise kernel."""
+    """(logw1, logw0) of y[k, :] from the elementwise kernel: the pair
+    the summed log-odds replaced, which tells where both states have
+    zero mass."""
     params = state.params
     base = state.counts[rows] - state.Y[k]
     with np.errstate(divide="ignore"):
@@ -165,23 +155,30 @@ def _elementwise_log_weights(state, k, X, rows):
     return log_p1 + ll1, log_p0 + ll0
 
 
+def _elementwise_log_odds(state, k, X, rows):
+    """Log-odds of y[k, :] = 1 from the elementwise kernel: the prior's,
+    plus log P(x | c + 1) - log P(x | c) summed over the rows in order."""
+    params = state.params
+    base = state.counts[rows] - state.Y[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (log_pmf_noisy_or(X[rows], base + 1, params.lam, params.epsilon)
+                 - log_pmf_noisy_or(X[rows], base, params.lam, params.epsilon))
+        return float(np.log(params.p) - np.log1p(-params.p)) + terms.sum(axis=0)
+
+
 def _assert_gathers_match_elementwise(state, X):
     params = state.params
     lam, eps = params.lam, params.epsilon
     n = state.n_rows
     for i in range(n):
-        for k in range(state.k):
-            active = state.Y[k].nonzero()[0]
-            base = state.counts[i, active] - state.Z[i, k]
-            x = X[i, active]
-            ll1 = float(log_pmf_noisy_or(x, base + 1, lam, eps).sum()) if active.size else 0.0
-            ll0 = float(log_pmf_noisy_or(x, base, lam, eps).sum()) if active.size else 0.0
-            assert _z_log_weights(state, i, k, X) == (math.log(0.5) + ll1, math.log1p(-0.5) + ll0)
+        cols = list(range(state.k))
+        got = gibbs.z_log_odds(state, i, cols, row_index(state, i, X),
+                               [state.Y[k].nonzero()[0] for k in cols])
+        assert got == [reference_z_log_odds(state, i, k, X) for k in cols]
     for k in range(state.k):
         rows = state.Z[:, k].nonzero()[0]
         got = gibbs._y_conditional_log_odds(state, k, X, rows)
-        logw1, logw0 = _elementwise_log_weights(state, k, X, rows)
-        want = logw1 - logw0
+        want = _elementwise_log_odds(state, k, X, rows)
         np.testing.assert_array_equal(got, want)
         if 0 < rows.size <= 2:
             np.testing.assert_array_equal(_on_prob_gather(state, k, X, rows), expit(want))
@@ -247,7 +244,8 @@ class TestSharedTables:
             elif move == "compact" and state.kplus:
                 compact_state(state)
             elif move == "z":
-                finite_conditional_z(state, i, k, row_index(state, i, X), rng)
+                finite_conditional_z(state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0],
+                                     rng, reference_z_log_odds(state, i, k, X))
             elif move == "y":
                 resample_y_row(state, k, X, rng.random(t))
             _assert_gathers_match_elementwise(state, X)
@@ -255,7 +253,7 @@ class TestSharedTables:
     def test_shared_tables_are_read_only(self):
         tables = draw_tables(0.9, 0.01, 0.1, 4)
         fresh = fresh_cause_table(0.9, 0.01, 0.1, 4)
-        for table in (shared_log_pmf_table(0.9, 0.01, 4), tables.log_pmf, tables.on_prob, fresh):
+        for table in (shared_log_pmf_table(0.9, 0.01, 4), tables.log_odds, tables.on_prob, fresh):
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0.0
             with pytest.raises(ValueError):
@@ -313,11 +311,11 @@ def _reference_passes(X, entries):
         entries.append((i, k, old, new))
         return new
 
-    def gibbs_entry(state, i, k, row_idx, active, rng, ll=None):
+    def gibbs_entry(state, i, k, row_idx, active, rng, log_odds):
         m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
         return draw(state, i, k, row_idx, rng, m_minus / state.n_rows)
 
-    def finite_entry(state, i, k, row_idx, rng, active=None, ll=None):
+    def finite_entry(state, i, k, row_idx, active, rng, log_odds):
         m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
         return draw(state, i, k, row_idx, rng, rjmcmc.finite_theta_bar(
             m_minus, state.n_rows, state.k, state.params.alpha, state.predictive))
@@ -334,29 +332,29 @@ def _reference_passes(X, entries):
 
 def _checked_row_index(X, entries):
     """Patches that assert, at every z entry, that the active trials and
-    the [ll0, ll1] pair handed over are cause k's and equal the reference
-    gather, and after it and at every fresh-cause draw, that the row's
+    the log-odds handed over are cause k's and equal the reference sum,
+    and after it and at every fresh-cause draw, that the row's
     flat index still equals one built from the counts; entries gets
     (i, k, old, new) per entry."""
     real_gibbs, real_finite = gibbs.gibbs_sample_z_entry, rjmcmc.finite_conditional_z
     real_fresh = gibbs.sample_new_causes
 
-    def checked(draw, state, i, k, row_idx, active, ll):
+    def checked(draw, state, i, k, row_idx, active, log_odds):
         np.testing.assert_array_equal(active, state.Y[k].nonzero()[0])
-        assert ll == reference_z_log_likelihoods(state, i, k, X)
+        np.testing.assert_array_equal(log_odds, reference_z_log_odds(state, i, k, X))
         old = int(state.Z[i, k])
         new = draw()
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
         entries.append((i, k, old, new))
         return new
 
-    def gibbs_entry(state, i, k, row_idx, active, rng, ll=None):
-        return checked(lambda: real_gibbs(state, i, k, row_idx, active, rng, ll),
-                       state, i, k, row_idx, active, ll)
+    def gibbs_entry(state, i, k, row_idx, active, rng, log_odds):
+        return checked(lambda: real_gibbs(state, i, k, row_idx, active, rng, log_odds),
+                       state, i, k, row_idx, active, log_odds)
 
-    def finite_entry(state, i, k, row_idx, rng, active=None, ll=None):
-        return checked(lambda: real_finite(state, i, k, row_idx, rng, active, ll),
-                       state, i, k, row_idx, active, ll)
+    def finite_entry(state, i, k, row_idx, active, rng, log_odds):
+        return checked(lambda: real_finite(state, i, k, row_idx, active, rng, log_odds),
+                       state, i, k, row_idx, active, log_odds)
 
     def fresh(state, i, X, row_idx, rng):
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
@@ -400,16 +398,17 @@ class TestRowKernel:
     @given(case=matrices(min_k=1), i=st.integers(0, 63), order=st.permutations(range(6)),
            size=st.integers(1, 6))
     @example(case=_KERNEL_EXAMPLE, i=0, order=[2, 1, 0, 3, 4, 5], size=3)
-    def test_pairs_equal_per_entry_gathers(self, case, i, order, size):
-        """Bit for bit, each column's [ll0, ll1] from the row's one gather
-        equals the per-entry gather of ``reference_z_log_likelihoods``."""
+    def test_log_odds_equal_elementwise_sums(self, case, i, order, size):
+        """Bit for bit, each column's log-odds from the row's one gather
+        equals the elementwise sum of ``reference_z_log_odds``, NaN where
+        it is NaN."""
         Z, Y, X, params = case
         state = SamplerState.from_matrices(Z, Y, params)
         i %= state.n_rows
         cols = [k for k in order if k < state.k][:size]
         actives = [state.Y[k].nonzero()[0] for k in cols]
-        got = gibbs.z_log_likelihoods(state, i, cols, row_index(state, i, X), actives)
-        assert got == [reference_z_log_likelihoods(state, i, k, X) for k in cols]
+        got = gibbs.z_log_odds(state, i, cols, row_index(state, i, X), actives)
+        np.testing.assert_array_equal(got, [reference_z_log_odds(state, i, k, X) for k in cols])
 
 
 class TestPassesMatchReference:
@@ -448,7 +447,8 @@ class TestPassesMatchReference:
         for k in range(state.k):
             active = state.Y[k].nonzero()[0]
             try:
-                got = gibbs._sample_z_given_theta(state, i, k, row_idx, active, rng, thetas[k])
+                got = gibbs._sample_z_given_theta(state, i, k, row_idx, active, rng, thetas[k],
+                                                  reference_z_log_odds(state, i, k, X))
             except DegenerateModelError:
                 with pytest.raises(DegenerateModelError):
                     reference_z_entry(ref, i, k, X, ref_rng, thetas[k])
@@ -460,6 +460,44 @@ class TestPassesMatchReference:
             np.testing.assert_array_equal(row_idx, row_index(state, i, X))
             if got is None:
                 return
+
+    @settings(max_examples=40)  # each example runs 18 parameter settings
+    @given(case=matrices(min_k=1), seed=st.integers(0, 2**32 - 1))
+    def test_z_draws_match_reference_at_boundaries(self, case, seed):
+        """At every (epsilon, lam, p) of ``BOUNDARY_PARAMS``, and with the
+        predictive=False prior weight clamped at 1 (alpha / K >= N), a z
+        draw from the row kernel's log-odds raises exactly where the
+        reference pair has both weights at -inf, and elsewhere draws the
+        reference's value from the same uniform."""
+        Z, Y, X, drawn = case
+        n, k = Z.shape
+        for eps, lam, p in BOUNDARY_PARAMS:
+            for predictive, alpha in ((True, drawn.alpha), (False, float(n * k))):
+                params = drawn.replace(epsilon=eps, lam=lam, p=p, alpha=alpha)
+                state = FiniteState.from_matrices(Z, Y, params, predictive=predictive)
+                ref = FiniteState.from_matrices(Z, Y, params, predictive=predictive)
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                active = [y.nonzero()[0] for y in state.Y]
+                for i in range(n):
+                    row_idx = row_index(state, i, X)
+                    for c, log_odds in gibbs.z_row(state, i, list(range(k)), row_idx, active):
+                        m_minus = int(ref.column_sums[c]) - int(ref.Z[i, c])
+                        theta = rjmcmc.finite_theta_bar(m_minus, n, k, alpha, predictive)
+                        assert predictive or theta == 1.0
+                        ll0, ll1 = reference_z_log_likelihoods(ref, i, c, X)
+                        zero_mass = ((theta == 0.0 or ll1 == -math.inf)
+                                     and (theta == 1.0 or ll0 == -math.inf))
+                        entry = (state, i, c, row_idx, active[c], rng, log_odds)
+                        if zero_mass:
+                            with pytest.raises(DegenerateModelError):
+                                rjmcmc.finite_conditional_z(*entry)
+                            with pytest.raises(DegenerateModelError):
+                                reference_z_entry(ref, i, c, X, ref_rng, theta)
+                            break
+                        got = rjmcmc.finite_conditional_z(*entry)
+                        assert got == reference_z_entry(ref, i, c, X, ref_rng, theta)
+                        _assert_same_state(state, ref)
+                        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     @given(case=matrices(min_k=1), seed=st.integers(0, 2**32 - 1))
@@ -522,9 +560,10 @@ class TestOnProbTable:
     @given(case=matrices(min_k=1))
     def test_table_equals_summed_path(self, case):
         """Bit for bit, a one- or two-row cause's tabulated on-probability
-        is expit of the summed log-odds, and NaN on exactly the trials
-        where the summed path finds both states at zero mass.  A cause
-        with any number of rows that raises finds the table degenerate."""
+        is expit of the summed log-odds, which is NaN on exactly the trials
+        where the pair of log-likelihoods it replaced has both states at
+        zero mass.  A cause with any number of rows that raises finds the
+        table degenerate."""
         Z, Y, X, drawn = case
         for eps, lam, p in [(drawn.epsilon, drawn.lam, drawn.p)] + BOUNDARY_PARAMS:
             state = SamplerState.from_matrices(Z, Y, drawn.replace(epsilon=eps, lam=lam, p=p))
@@ -532,14 +571,16 @@ class TestOnProbTable:
                 rows = state.Z[:, k].nonzero()[0]
                 logw1, logw0 = _elementwise_log_weights(state, k, X, rows)
                 zero_mass = np.isneginf(logw1) & np.isneginf(logw0)
+                log_odds = _elementwise_log_odds(state, k, X, rows)
+                np.testing.assert_array_equal(np.isnan(log_odds), zero_mass)
                 if zero_mass.any():
                     assert draw_tables(lam, eps, p, state.k).degenerate
                     with pytest.raises(DegenerateModelError):
                         gibbs._y_conditional_log_odds(state, k, X, rows)
-                    with np.errstate(invalid="ignore"):
-                        want = expit(logw1 - logw0)
                 else:
-                    want = expit(gibbs._y_conditional_log_odds(state, k, X, rows))
+                    np.testing.assert_array_equal(
+                        gibbs._y_conditional_log_odds(state, k, X, rows), log_odds)
+                want = expit(log_odds)
                 if 0 < rows.size <= 2:
                     got = _on_prob_gather(state, k, X, rows)
                     np.testing.assert_array_equal(np.isnan(got), zero_mass)
@@ -560,17 +601,21 @@ class TestDrawTables:
                 fresh_table = fresh_cause_table(lam, eps, p, k)
                 assert fresh_cause_table(lam, eps, p, k) is fresh_table
                 fresh = log_pmf_table(lam, eps, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
-                with np.errstate(divide="ignore"):
-                    log_p1, log_p0 = np.log(p), np.log1p(-p)
-                for got, want in ((tables.log_pmf, log_pmf_table(lam, eps, k).ravel()),
+                table = log_pmf_table(lam, eps, k)
+                log_odds = np.zeros_like(table)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    for x in (0, 1):
+                        for c in range(k):
+                            log_odds[x, c] = table[x, c + 1] - table[x, c]
+                    prior_log_odds = np.log(p) - np.log1p(-p)
+                for got, want in ((tables.log_odds, log_odds.ravel()),
                                   (fresh_table, fresh.reshape(MAX_NEW_CAUSES + 1, -1)),
-                                  (np.array([tables.log_p1, tables.log_p0]),
-                                   np.array([log_p1, log_p0]))):
+                                  (np.array(tables.prior_log_odds), prior_log_odds)):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                 assert tables.on_prob.shape == (2 * k + 2, 2 * k + 2)
                 assert tables.degenerate is bool(np.isnan(tables.on_prob).any())
-                for table in (tables.log_pmf, tables.on_prob, fresh_table):
+                for table in (tables.log_odds, tables.on_prob, fresh_table):
                     assert not table.flags.writeable
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from helpers import check_consistency, row_index
+from helpers import check_consistency, reference_z_log_odds, row_index
 from hiddencauses import (FiniteState, ModelParams, UniformK, finite_gibbs_sweep,
                           log_prior_Z_finite, rjmcmc_sweep)
 from hiddencauses.rjmcmc import (
@@ -116,8 +116,9 @@ class TestFiniteThetaBar:
         )
         state.Z[1, 0] = 0
         state.column_sums[0] = 0
-        row_idx = row_index(state, 0, np.zeros((2, 2), dtype=np.int8))
-        z = finite_conditional_z(state, 0, 0, row_idx, np.random.default_rng(0))
+        X = np.zeros((2, 2), dtype=np.int8)
+        z = finite_conditional_z(state, 0, 0, row_index(state, 0, X), state.Y[0].nonzero()[0],
+                                 np.random.default_rng(0), reference_z_log_odds(state, 0, 0, X))
         assert z in (0, 1)
         check_consistency(state)
 
