@@ -8,25 +8,20 @@ the likelihood.  A full pass over Y and a compaction of empty columns
 finish the sweep.
 
 Y changes only in that end-of-sweep pass and in the fresh rows a
-``sample_new_causes`` draw appends, so a sweep scans each activation row
-for its active trials once, appends the fresh causes' lists, and hands
-cause k's list to every z entry on k and to row i's singleton removal.
-Row i's flat table index is built once per row; the z flips and the
-singleton removal keep it current, and the fresh-cause weights read it
-through its histogram: 2(K+1) bins, one product with the fresh-cause
-table, where T runs to thousands of trials.
+``sample_new_causes`` draw appends, so a sweep builds the active layout
+of Y at its start and again after each addition.  Row i's flat table
+index is built once per row; the z flips and the singleton removal keep
+it current, and the fresh-cause weights read it through its histogram:
+2(K+1) bins, one product with the fresh-cause table.
 
 Every conditional draw is two-point: it adds the prior's log-odds to the
 entries of ``model.draw_tables(...).log_odds`` at the flat indices it
 touches, and a NaN sum, both states at zero mass, raises
-``DegenerateModelError``.  A row's z entries take their sums from one
-kernel, ``z_log_odds``: one gather of the row's index on the joined
-active-trial lists and one take of the table, where gathering each
-entry's few dozen trials apart costs more in numpy calls than in
-arithmetic.  ``z_row`` hands them out in column order and, after a flip
-has moved the index, computes the remaining columns' values again.  The
-entries still draw one by one, one uniform each, in order: each entry's
-prior weight and every later log-odds depend on the draws before it.
+``DegenerateModelError``.  A row draws its z entries at once
+(``draw_z_row``): one block of uniforms, one scan of the layout and one
+comparison.  About 1% of entries flip on wide data; Python work is left
+to the first that flips or meets a NaN, and the columns after it are
+scanned again.
 
 An activation row whose cause links one or two rows (every fresh cause,
 and most causes on long data) gathers its on-probabilities from the
@@ -36,26 +31,18 @@ keep.  The fresh-cause draw reads ``model.fresh_cause_table``.
 """
 
 import math
-from itertools import accumulate
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from .model import (MAX_NEW_CAUSES, DegenerateModelError, SamplerState, draw_tables, flat_index,
-                    fresh_cause_table)
+from .model import (MAX_NEW_CAUSES, TABLE_CACHE_SIZE, DegenerateModelError, SamplerState,
+                    draw_tables, flat_index, fresh_cause_table)
 
 
 # k = 0..MAX_NEW_CAUSES fresh causes and log k!, their Poisson prior's terms free of alpha and N
 _FRESH_KS = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
 _FRESH_LOG_FACTORIALS = gammaln(_FRESH_KS + 1.0)
-
-
-def _two_point_draw(logit: float, rng: np.random.Generator) -> int:
-    """Draw from {0, 1} with log-odds logit of a 1; NaN marks both states
-    at zero mass."""
-    if math.isnan(logit):
-        raise DegenerateModelError("both states of a binary draw have zero mass")
-    return 1 if rng.random() < expit(logit) else 0
 
 
 def _set_z(state: SamplerState, i: int, k: int, new: int, row_idx: np.ndarray,
@@ -69,86 +56,91 @@ def _set_z(state: SamplerState, i: int, k: int, new: int, row_idx: np.ndarray,
     row_idx[active] += diff
 
 
-def z_log_odds(
-    state: SamplerState, i: int, cols: list[int], row_idx: np.ndarray, actives: list,
-) -> list[float]:
-    """The log-likelihood ratio of z[i, k] = 1 against z[i, k] = 0 for
-    each k in cols, actives[j] holding the active trials of cause cols[j].
+def active_layout(Y: np.ndarray) -> tuple:
+    """(seg, cat, starts): the cause and trial of every active entry of Y in
+    cause order, then trial order; cat[starts[k]:starts[k + 1]] are cause k's."""
+    seg, cat = np.divmod((Y != 0).ravel().nonzero()[0], Y.shape[1])
+    return seg, cat, seg.searchsorted(np.arange(Y.shape[0] + 1)).tolist()
 
-    row_idx is ``flat_index(X[i], state.counts[i], state.k)``.  The row's
-    index is gathered once on the joined lists, the segments of causes
-    with z[i, k] = 1 drop that cause's count, and one take reads D there.
-    Each column sums its own segment, which adds in the order of a
-    per-entry ``take(idx).sum()`` (``np.add.reduceat`` does not).  A
-    cause with no active trials gets 0.0: it leaves the likelihood
-    untouched.  NaN marks both states at zero mass."""
+
+def z_log_odds(state: SamplerState, i: int, row_idx: np.ndarray, seg: np.ndarray,
+               cat: np.ndarray) -> np.ndarray:
+    """[k]: the log-likelihood ratio of z[i, k] = 1 against z[i, k] = 0,
+    from the (cause, trial) pairs (seg, cat), a suffix of ``active_layout``.
+
+    row_idx is ``flat_index(X[i], state.counts[i], state.k)``; it drops
+    z[i, k] on cause k's pairs, D is read there, and ``np.bincount`` sums
+    each cause's terms in trial order, one after another.  A cause with no
+    pair gets 0.  NaN marks both states at zero mass."""
     params = state.params
     log_odds = draw_tables(params.lam, params.epsilon, params.p, state.k).log_odds
-    idx = row_idx.take(np.concatenate(actives))
-    ends = list(accumulate(map(len, actives)))
-    starts = [0, *ends[:-1]]
-    z = state.Z[i].tolist()
-    for k, s, e in zip(cols, starts, ends):
-        if z[k]:
-            idx[s:e] -= 1
-    terms = log_odds.take(idx)
-    with np.errstate(invalid="ignore"):  # +inf + -inf: both states at zero mass
-        return [float(np.add.reduce(terms[s:e])) for s, e in zip(starts, ends)]
+    idx = row_idx.take(cat)
+    idx -= state.Z[i].take(seg)
+    return np.bincount(seg, weights=log_odds.take(idx), minlength=state.k)
 
 
-def z_row(state: SamplerState, i: int, cols: list[int], row_idx: np.ndarray, active: list):
-    """Yield (k, log_odds) for each k in cols in order, active[k] being
-    cause k's active trials, for the caller to draw z[i, k] from.
-
-    The row's values come from one ``z_log_odds`` call.  Once a draw
-    flips z[i, k], row_idx has moved on cause k's trials, so the values
-    of the columns still to come are computed again."""
-    while cols:
-        values = z_log_odds(state, i, cols, row_idx, [active[k] for k in cols])
-        z = state.Z[i].tolist()
-        for j, (k, log_odds) in enumerate(zip(cols, values), 1):
-            yield k, log_odds
-            if state.Z[i, k] != z[k]:
-                cols = cols[j:]
-                break
-        else:
+def draw_z_row(state: SamplerState, i: int, cols: np.ndarray, prior: np.ndarray,
+               row_idx: np.ndarray, layout: tuple, rng: np.random.Generator, entry) -> None:
+    """Draw z[i, k] for each k in cols in order from ``rng.random(len(cols))``,
+    the stream of one ``rng.random()`` per entry.  prior[j] is the prior's
+    log-odds of entry cols[j], which no draw of row i moves; layout is
+    ``active_layout(state.Y)``.  Only the first entry whose draw changes
+    z[i, k] or whose logit is NaN goes through
+    entry(state, i, k, row_idx, active, u, log_odds), which flips it or
+    raises; the flip moves row_idx, so the columns after it are scanned
+    again."""
+    seg, cat, starts = layout
+    u = rng.random(len(cols))
+    old = state.Z[i].take(cols)
+    j = 0
+    while j < len(cols):
+        b = starts[cols[j]]
+        log_odds = z_log_odds(state, i, row_idx, seg[b:], cat[b:]).take(cols[j:])
+        with np.errstate(invalid="ignore"):  # +inf + -inf: both states at zero mass
+            logit = prior[j:] + log_odds
+        event = ((u[j:] < expit(logit)) != old[j:]) | np.isnan(logit)
+        first = int(event.argmax())
+        if not event[first]:
             return
+        k = int(cols[j + first])
+        entry(state, i, k, row_idx, cat[starts[k]:starts[k + 1]], u[j + first], log_odds[first])
+        j += first + 1
 
 
-def _sample_z_given_theta(
-    state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
-    rng: np.random.Generator, theta_bar: float, log_odds: float,
-) -> int:
-    """Two-point draw of z[i, k] with prior weight theta_bar on 1.
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def prior_log_odds(theta_bar, n_rows: int, *key) -> np.ndarray:
+    """[m]: log theta - log(1 - theta), +-inf at theta in {0, 1}, for the prior weight
+    theta = theta_bar(m, n_rows, *key) at m_minus = m; built once per key, read-only."""
+    with np.errstate(divide="ignore"):
+        theta = theta_bar(np.arange(n_rows + 1), n_rows, *key)
+        table = np.log(theta) - np.log1p(-theta)
+    table.flags.writeable = False
+    return table
 
-    row_idx is ``flat_index(X[i], state.counts[i], state.k)``; a flip
-    updates it along with the counts.  active is ``state.Y[k].nonzero()[0]``,
-    the trials on which cause k is active.  log_odds is the entry's
-    log-likelihood ratio from ``z_log_odds``; the prior's log-odds,
-    +-inf at theta_bar in {0, 1}, is added to it."""
-    prior = ((math.log(theta_bar) if theta_bar > 0 else -math.inf)
-             - (math.log1p(-theta_bar) if theta_bar < 1 else -math.inf))
-    new = _two_point_draw(prior + log_odds, rng)
+
+def draw_z_entry(state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
+                 u: float, logit: float) -> int:
+    """Set z[i, k] to u < expit(logit); NaN marks both states at zero mass."""
+    if math.isnan(logit):
+        raise DegenerateModelError("both states of a binary draw have zero mass")
+    new = int(u < expit(logit))
     if new != state.Z[i, k]:
         _set_z(state, i, k, new, row_idx, active)
     return new
 
 
-def gibbs_sample_z_entry(
-    state: SamplerState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
-    rng: np.random.Generator, log_odds: float,
-) -> int:
-    """Resample z[i, k] given everything else, for a column some other row
-    still uses (m_minus > 0).  The prior weight on z = 1 is m_minus / N.
-    row_idx is row i's flat table index, active cause k's active trials
-    and log_odds the entry's log-likelihood ratio (see
-    ``_sample_z_given_theta``).
-    """
+def gibbs_sample_z_entry(state: SamplerState, i: int, k: int, row_idx: np.ndarray,
+                         active: np.ndarray, u: float, log_odds: float) -> int:
+    """Draw z[i, k] given everything else from the uniform u, for a column
+    some other row still uses (m_minus > 0), at prior weight m_minus / N.
+    row_idx is row i's flat table index, active cause k's active trials and
+    log_odds the entry's log-likelihood ratio (``z_log_odds``).  A sweep
+    calls it only where the draw flips z[i, k] or its logit is NaN."""
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
     if m_minus <= 0:
         raise ValueError("column is a singleton of row i; handled by sample_new_causes")
-    theta_bar = m_minus / state.n_rows
-    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar, log_odds)
+    prior = float(prior_log_odds(np.true_divide, state.n_rows)[m_minus])
+    return draw_z_entry(state, i, k, row_idx, active, u, prior + float(log_odds))
 
 
 def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
@@ -160,6 +152,14 @@ def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
     """
     eta = np.asarray(eta, dtype=np.float64)
     return 1.0 - (1.0 - params.epsilon) * eta * (1.0 - params.lam * params.p) ** k_new
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _fresh_cause_log_rates(alpha: float, n: int) -> np.ndarray:
+    """k log(alpha / n) for k = 0..MAX_NEW_CAUSES, built once per key, read-only."""
+    rates = xlogy(_FRESH_KS, alpha / n)
+    rates.flags.writeable = False
+    return rates
 
 
 def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.ndarray:
@@ -178,7 +178,7 @@ def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.nda
     seen = hist.nonzero()[0]
     # one row per occupied bin: a sum over axis 0 adds the rows in order
     loglik = (fresh.T[seen] * hist[seen, None]).sum(axis=0)
-    return loglik + xlogy(_FRESH_KS, params.alpha / state.n_rows) - _FRESH_LOG_FACTORIALS
+    return loglik + _fresh_cause_log_rates(params.alpha, state.n_rows) - _FRESH_LOG_FACTORIALS
 
 
 def sample_new_causes(
@@ -223,9 +223,12 @@ def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) ->
     tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
     idx = flat_index(X[rows], state.counts[rows], state.k)
     idx -= state.Y[k]
+    terms = tables.log_odds.take(idx)
+    if not tables.degenerate:  # then no sum meets +inf and -inf
+        return tables.prior_log_odds + terms.sum(axis=0)
     with np.errstate(invalid="ignore"):  # +inf + -inf: both states at zero mass
-        log_odds = tables.prior_log_odds + tables.log_odds.take(idx).sum(axis=0)
-    if tables.degenerate and np.isnan(log_odds).any():
+        log_odds = tables.prior_log_odds + terms.sum(axis=0)
+    if np.isnan(log_odds).any():
         raise DegenerateModelError("both states of an activation draw have zero mass")
     return log_odds
 
@@ -289,21 +292,20 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
     draw fresh causes; then resample all of Y and compact.
 
     Columns appended while processing earlier rows are visited by later
-    rows; compaction happens only at the end of the sweep.  active[k]
-    holds cause k's active trials for the whole sweep.
+    rows; compaction happens only at the end of the sweep.
     """
-    active = [y.nonzero()[0] for y in state.Y]
+    layout = active_layout(state.Y)
     for i in range(state.n_rows):
         row_idx = flat_index(X[i], state.counts[i], state.k)
         # no entry of row i moves m_minus: a flip moves z[i, k] and column_sums[k] together
-        m_minus = (state.column_sums - state.Z[i]).tolist()
-        shared = [k for k, m in enumerate(m_minus) if m > 0]
-        for k, log_odds in z_row(state, i, shared, row_idx, active):
-            gibbs_sample_z_entry(state, i, k, row_idx, active[k], rng, log_odds)
-        for k, m in enumerate(m_minus):
-            if m == 0 and state.Z[i, k]:
-                _set_z(state, i, k, 0, row_idx, active[k])
-        k_new = sample_new_causes(state, i, X, row_idx, rng)
-        active.extend(y.nonzero()[0] for y in state.Y[state.k - k_new:])
+        m_minus = state.column_sums - state.Z[i]
+        shared = m_minus.nonzero()[0]
+        prior = prior_log_odds(np.true_divide, state.n_rows).take(m_minus.take(shared))
+        draw_z_row(state, i, shared, prior, row_idx, layout, rng, gibbs_sample_z_entry)
+        _, cat, starts = layout
+        for k in (state.Z[i] > m_minus).nonzero()[0].tolist():  # singletons: m_minus = 0
+            _set_z(state, i, k, 0, row_idx, cat[starts[k]:starts[k + 1]])
+        if sample_new_causes(state, i, X, row_idx, rng):
+            layout = active_layout(state.Y)
     resample_all_y(state, X, rng)
     return compact_state(state)

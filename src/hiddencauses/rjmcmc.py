@@ -4,10 +4,10 @@ The model keeps an explicit dimension K >= 1 with the finite beta-
 Bernoulli prior over Z's columns and a prior P(K) over the dimension.
 One sweep visits rows in ascending order; each row gets one birth/death
 proposal on a uniformly chosen column, a Gibbs pass over its Z entries,
-and a full resample of Y.  The Gibbs pass scans Y's rows once and takes
-the entries' log-likelihood ratios from the row kernel of the unbounded
-sampler (``gibbs.z_row``), one gather for the row and one more after
-each flip; each entry still draws its own uniform, in column order.
+and a full resample of Y.  The Gibbs pass draws the row at once with the
+unbounded sampler's ``gibbs.draw_z_row``: one block of uniforms, one scan
+of the active layout built after the move, and ``finite_conditional_z``
+only where an entry flips or meets zero mass.
 
 Birth appends an all-zero column of Z plus a fresh Bernoulli(p) row of Y
 and is accepted with probability
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .gibbs import _sample_z_given_theta, resample_all_y, z_row
+from .gibbs import active_layout, draw_z_entry, draw_z_row, prior_log_odds, resample_all_y
 from .model import SamplerState, flat_index, log_prior_Z_finite_from_sums
 
 
@@ -191,15 +191,15 @@ def death_acceptance(state: FiniteState, k: int, rng: np.random.Generator) -> tu
     kplus = state.kplus
     if kplus == 0:
         return 0.0, False
-    sums_new = np.delete(state.column_sums, k)
+    sums_new = np.concatenate([state.column_sums[:k], state.column_sums[k + 1:]])
     log_ratio = _move_log_ratio(state, sums_new, math.log(kplus) - math.log(kk - 1))
     if state.duplicate_row_factor:
         delta = _matching_rows(state.Y, state.Y[k])  # includes row k itself
         log_ratio += math.log(kk) - math.log(delta)
     prob, accepted = _accept(log_ratio, rng)
     if accepted:
-        state.Z = np.ascontiguousarray(np.delete(state.Z, k, axis=1))
-        state.Y = np.ascontiguousarray(np.delete(state.Y, k, axis=0))
+        state.Z = np.concatenate([state.Z[:, :k], state.Z[:, k + 1:]], axis=1)
+        state.Y = np.concatenate([state.Y[:k], state.Y[k + 1:]])
         state.column_sums = sums_new
         # counts unchanged: the deleted column was unlinked
     return prob, accepted
@@ -210,10 +210,8 @@ def death_acceptance(state: FiniteState, k: int, rng: np.random.Generator) -> tu
 # ---------------------------------------------------------------------------
 
 
-def finite_theta_bar(
-    m_minus: int, n_rows: int, k: int, alpha: float, predictive: bool = True
-) -> float:
-    """Prior weight on z = 1 given the rest of the column.
+def finite_theta_bar(m_minus, n_rows: int, k: int, alpha: float, predictive: bool = True):
+    """Prior weight on z = 1 given the rest of the column, elementwise.
 
     The integrated beta-Bernoulli predictive is (m_minus + alpha/K) over
     (N + alpha/K).  predictive=False divides by N instead; that variant
@@ -222,38 +220,37 @@ def finite_theta_bar(
     ak = alpha / k
     if predictive:
         return (m_minus + ak) / (n_rows + ak)
-    return min(1.0, (m_minus + ak) / n_rows)
+    return np.minimum(1.0, (m_minus + ak) / n_rows)
 
 
-def finite_conditional_z(
-    state: FiniteState, i: int, k: int, row_idx: np.ndarray, active: np.ndarray,
-    rng: np.random.Generator, log_odds: float,
-) -> int:
-    """Resample z[i, k] under the finite prior (valid for m_minus = 0).
-    row_idx is row i's flat table index, active cause k's active trials
-    and log_odds the entry's log-likelihood ratio (see
-    ``gibbs._sample_z_given_theta``)."""
+def _prior_log_odds(state: FiniteState) -> np.ndarray:
+    return prior_log_odds(finite_theta_bar, state.n_rows, state.k, state.params.alpha,
+                          state.predictive)
+
+
+def finite_conditional_z(state: FiniteState, i: int, k: int, row_idx: np.ndarray,
+                         active: np.ndarray, u: float, log_odds: float) -> int:
+    """Draw z[i, k] under the finite prior from the uniform u (valid for
+    m_minus = 0); the arguments are those of ``gibbs.gibbs_sample_z_entry``,
+    and a sweep calls it only where the draw flips z[i, k] or meets a NaN."""
     m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
-    theta_bar = finite_theta_bar(
-        m_minus, state.n_rows, state.k, state.params.alpha, state.predictive
-    )
-    return _sample_z_given_theta(state, i, k, row_idx, active, rng, theta_bar, log_odds)
+    prior = float(_prior_log_odds(state)[m_minus])
+    return draw_z_entry(state, i, k, row_idx, active, u, prior + float(log_odds))
 
 
-def _z_pass(state: FiniteState, i: int, X, active: list, rng: np.random.Generator) -> None:
-    """Draw every z entry of row i in column order; active[k] holds cause
-    k's active trials."""
-    row_idx = flat_index(X[i], state.counts[i], state.k)
-    for k, log_odds in z_row(state, i, list(range(state.k)), row_idx, active):
-        finite_conditional_z(state, i, k, row_idx, active[k], rng, log_odds)
+def _z_pass(state: FiniteState, i: int, X, layout: tuple, rng: np.random.Generator) -> None:
+    """Draw every z entry of row i; layout is ``gibbs.active_layout(state.Y)``."""
+    prior = _prior_log_odds(state).take(state.column_sums - state.Z[i])
+    draw_z_row(state, i, np.arange(state.k), prior, flat_index(X[i], state.counts[i], state.k),
+               layout, rng, finite_conditional_z)
 
 
 def finite_gibbs_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:
     """One fixed-dimension sweep: every z entry, then every activation row.
-    Y is fixed until then, so each activation row is scanned once."""
-    active = [y.nonzero()[0] for y in state.Y]
+    Y is fixed until then, so the active layout is built once."""
+    layout = active_layout(state.Y)
     for i in range(state.n_rows):
-        _z_pass(state, i, X, active, rng)
+        _z_pass(state, i, X, layout, rng)
     resample_all_y(state, X, rng)
     return state
 
@@ -262,7 +259,7 @@ def rjmcmc_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState
     """One full sweep.  Per row: one dimension move on a uniformly chosen
     column (birth if it is linked, death if not), a Gibbs pass over the
     row's Z entries, and a resample of all of Y.  Y changes after every
-    row, so each row scans the activation rows once, after its move."""
+    row, so each row builds the active layout once, after its move."""
     params = state.params
     for i in range(state.n_rows):
         k_pick = int(rng.integers(state.k))
@@ -271,6 +268,6 @@ def rjmcmc_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState
             birth_acceptance(state, proposed, rng)
         else:
             death_acceptance(state, k_pick, rng)
-        _z_pass(state, i, X, [y.nonzero()[0] for y in state.Y], rng)
+        _z_pass(state, i, X, active_layout(state.Y), rng)
         resample_all_y(state, X, rng)
     return state

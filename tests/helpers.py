@@ -4,12 +4,13 @@
 ``gibbs_sample_y_entry`` is the per-entry activation update that the
 vectorized ``resample_y_row`` must reproduce draw for draw.
 ``reference_z_entry`` and ``reference_resample_all_y`` are the z-entry
-gather and the per-row Y pass as they were before the samplers kept one
-flat index per row, gathered a row's entries at once, drew one block of
-uniforms per Y pass and summed log-odds in place of a pair of
-log-likelihoods; the samplers must still match them draw for draw.
-``reference_z_log_odds`` is the log-odds the samplers' z kernel must
-equal bit for bit, from the elementwise kernel.
+gather, one uniform per entry, and the per-row Y pass as they were before
+the samplers kept one flat index per row, drew a row's z entries and a
+whole Y pass each from one block of uniforms and summed log-odds in place
+of a pair of log-likelihoods; the samplers must still match them draw for
+draw.  ``reference_z_log_odds`` is the log-odds the samplers' z kernel
+must equal bit for bit, from the elementwise kernel, summed in the
+kernel's order.
 ``reference_fresh_cause_log_weights`` builds the fresh-cause weights from
 the elementwise kernel, one term per distinct (x, count) pair in the order
 of the histogram the sampler sums over.
@@ -93,7 +94,8 @@ def reference_z_log_likelihoods(state: SamplerState, i: int, k: int, X) -> list[
 def reference_z_log_odds(state: SamplerState, i: int, k: int, X) -> float:
     """log P(x | c + 1) - log P(x | c) from the elementwise kernel on cause
     k's active trials, c row i's counts there without cause k, summed in
-    trial order; NaN where both states of z[i, k] have zero mass."""
+    trial order one term after another; NaN where both states of z[i, k]
+    have zero mass."""
     params = state.params
     active = state.Y[k].nonzero()[0]
     base = state.counts[i, active] - state.Z[i, k]
@@ -101,7 +103,10 @@ def reference_z_log_odds(state: SamplerState, i: int, k: int, X) -> float:
     with np.errstate(invalid="ignore"):
         terms = (log_pmf_noisy_or(x, base + 1, params.lam, params.epsilon)
                  - log_pmf_noisy_or(x, base, params.lam, params.epsilon))
-        return float(terms.sum())
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total
 
 
 def reference_z_entry(

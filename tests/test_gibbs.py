@@ -45,7 +45,7 @@ class TestZEntryConditional:
         rng = np.random.default_rng(seed)
         row_idx = row_index(state, 0, X)  # each flip updates it
         active = state.Y[0].nonzero()[0]
-        hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng,
+        hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng.random(),
                                         reference_z_log_odds(state, 0, 0, X))
                    for _ in range(n_draws))
         check_consistency(state)
@@ -75,7 +75,7 @@ class TestZEntryConditional:
         X = np.array([[1, 1], [1, 1]], dtype=np.int8)
         rng = np.random.default_rng(2)
         row_idx, active = row_index(state, 0, X), state.Y[0].nonzero()[0]
-        draws = [gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng,
+        draws = [gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng.random(),
                                       reference_z_log_odds(state, 0, 0, X))
                  for _ in range(20_000)]
         freq = np.mean(draws)
@@ -89,7 +89,7 @@ class TestZEntryConditional:
         X = np.zeros((2, 2), dtype=np.int8)
         row_idx, active = row_index(state, 0, X), state.Y[0].nonzero()[0]
         with pytest.raises(ValueError):
-            gibbs_sample_z_entry(state, 0, 0, row_idx, active, np.random.default_rng(0),
+            gibbs_sample_z_entry(state, 0, 0, row_idx, active, 0.5,
                                  reference_z_log_odds(state, 0, 0, X))
 
 

@@ -18,7 +18,6 @@ from helpers import (
     reference_fresh_cause_log_weights,
     reference_resample_all_y,
     reference_z_entry,
-    reference_z_log_likelihoods,
     reference_z_log_odds,
     row_index,
 )
@@ -111,8 +110,8 @@ class TestCachesUnderMoves:
         for move, a, b in moves:
             i, k = a % n, b % state.k
             if move == "z":
-                entry = (state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0], rng,
-                         reference_z_log_odds(state, i, k, X))
+                entry = (state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0],
+                         rng.random(), reference_z_log_odds(state, i, k, X))
                 if state.column_sums[k] - state.Z[i, k] > 0:
                     gibbs_sample_z_entry(*entry)
                 else:
@@ -170,11 +169,11 @@ def _assert_gathers_match_elementwise(state, X):
     params = state.params
     lam, eps = params.lam, params.epsilon
     n = state.n_rows
+    seg, cat, _ = gibbs.active_layout(state.Y)
     for i in range(n):
-        cols = list(range(state.k))
-        got = gibbs.z_log_odds(state, i, cols, row_index(state, i, X),
-                               [state.Y[k].nonzero()[0] for k in cols])
-        assert got == [reference_z_log_odds(state, i, k, X) for k in cols]
+        got = gibbs.z_log_odds(state, i, row_index(state, i, X), seg, cat)
+        want = [reference_z_log_odds(state, i, k, X) for k in range(state.k)]
+        np.testing.assert_array_equal(got, want)
     for k in range(state.k):
         rows = state.Z[:, k].nonzero()[0]
         got = gibbs._y_conditional_log_odds(state, k, X, rows)
@@ -189,6 +188,12 @@ def _assert_gathers_match_elementwise(state, X):
         np.testing.assert_array_equal(
             got, reference_fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
         )
+        # the prior's terms, cached per (alpha, N), add as the uncached expression did
+        fresh = fresh_cause_table(lam, eps, params.p, state.k)
+        hist = np.bincount(row_index(state, i, X), minlength=fresh.shape[1])
+        seen = hist.nonzero()[0]
+        loglik = (fresh.T[seen] * hist[seen, None]).sum(axis=0)
+        assert got.tobytes() == (loglik + log_rate - log_fact).tobytes()
         eta = (1.0 - lam) ** state.counts[i]
         want = []
         for k in ks:
@@ -245,7 +250,7 @@ class TestSharedTables:
                 compact_state(state)
             elif move == "z":
                 finite_conditional_z(state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0],
-                                     rng, reference_z_log_odds(state, i, k, X))
+                                     rng.random(), reference_z_log_odds(state, i, k, X))
             elif move == "y":
                 resample_y_row(state, k, X, rng.random(t))
             _assert_gathers_match_elementwise(state, X)
@@ -264,8 +269,8 @@ class TestSharedTables:
 
 
 # ---------------------------------------------------------------------------
-# one flat index per z row, one block of uniforms per Y pass: the same
-# draws as the per-entry gather and the per-row Y loop
+# one active layout per Y, one block of uniforms per z row and per Y pass:
+# the same draws as the per-entry gather and the per-row Y loop
 # ---------------------------------------------------------------------------
 
 
@@ -275,16 +280,20 @@ leaks = st.one_of(st.floats(0.001, 0.5), st.just(0.0))
 
 
 @st.composite
-def matrices(draw, min_k=0):
+def matrices(draw, min_k=0, shared=False):
     """(Z, Y, X, params): a random set of linked columns, each with at
     least one edge, beside unlinked ones; lam, epsilon and p at their
-    boundaries as well as inside."""
-    n, t, k = draw(st.integers(1, 6)), draw(st.integers(1, 10)), draw(st.integers(min_k, 6))
+    boundaries as well as inside.  shared links column 0 to two rows, so
+    that the first row of every sweep draws a z entry."""
+    n = draw(st.integers(2 if shared else 1, 6))
+    t, k = draw(st.integers(1, 10)), draw(st.integers(max(min_k, shared), 6))
     linked = np.zeros(k, dtype=bool)
     linked[draw(st.permutations(range(k)))[:draw(st.integers(0, k))]] = True
     Z = draw(arrays(np.int8, (n, k), elements=st.integers(0, 1))) * linked
     for col in linked.nonzero()[0]:
         Z[draw(st.integers(0, n - 1)), col] = 1
+    if shared:
+        Z[draw(st.permutations(range(n)))[:2], 0] = 1
     Y = draw(arrays(np.int8, (k, t), elements=st.integers(0, 1)))
     X = draw(arrays(np.int8, (n, t), elements=st.integers(0, 1)))
     params = ModelParams(epsilon=draw(leaks), lam=draw(probs), p=draw(probs), alpha=1.5)
@@ -296,48 +305,71 @@ def _assert_same_state(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
+def _log_odds(theta):
+    """log theta - log(1 - theta), +-inf at theta in {0, 1}."""
+    with np.errstate(divide="ignore"):
+        return np.log(theta) - np.log1p(-theta)
+
+
+def _theta_bar(state, i, k):
+    """The prior weight on z[i, k] = 1 of the state's sampler."""
+    m_minus = state.column_sums[k] - state.Z[i, k]
+    if isinstance(state, FiniteState):
+        return rjmcmc.finite_theta_bar(m_minus, state.n_rows, state.k, state.params.alpha,
+                                       state.predictive)
+    return m_minus / state.n_rows
+
+
 def _reference_passes(X, entries):
-    """Patches that run the sweeps on the reference z gather and Y loop,
-    and the fresh-cause draw on an index built from the counts.  Each z
-    entry is drawn by ``reference_z_entry``, which ignores the pair the
-    sweep hands over, and leaves the row's index built from the counts;
-    entries gets (i, k, old, new) per entry."""
+    """Patches that run the sweeps on per-entry z rows, the reference Y
+    loop, and the fresh-cause draw on an index built from the counts.
+    A z row draws each entry the sweep names through ``reference_z_entry``,
+    one ``rng.random()`` each, at its sampler's prior weight, and leaves
+    the row's index built from the counts; entries gets (i, k, old, new)
+    per entry."""
     real_fresh = gibbs.sample_new_causes
 
-    def draw(state, i, k, row_idx, rng, theta_bar):
-        old = int(state.Z[i, k])
-        new = reference_z_entry(state, i, k, X, rng, theta_bar)
+    def row(state, i, cols, prior, row_idx, layout, rng, entry):
+        for k in cols.tolist():
+            old = int(state.Z[i, k])
+            entries.append((i, k, old, reference_z_entry(state, i, k, X, rng,
+                                                         _theta_bar(state, i, k))))
         row_idx[:] = row_index(state, i, X)
-        entries.append((i, k, old, new))
-        return new
-
-    def gibbs_entry(state, i, k, row_idx, active, rng, log_odds):
-        m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
-        return draw(state, i, k, row_idx, rng, m_minus / state.n_rows)
-
-    def finite_entry(state, i, k, row_idx, active, rng, log_odds):
-        m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
-        return draw(state, i, k, row_idx, rng, rjmcmc.finite_theta_bar(
-            m_minus, state.n_rows, state.k, state.params.alpha, state.predictive))
 
     def fresh(state, i, X, row_idx, rng):
         return real_fresh(state, i, X, row_index(state, i, X), rng)
 
-    return [mock.patch.object(gibbs, "gibbs_sample_z_entry", gibbs_entry),
-            mock.patch.object(rjmcmc, "finite_conditional_z", finite_entry)] + [
-        mock.patch.object(module, "resample_all_y", reference_resample_all_y)
-        for module in (gibbs, rjmcmc)] + [
-        mock.patch.object(gibbs, "sample_new_causes", fresh)]
+    return [mock.patch.object(module, name, patch) for module in (gibbs, rjmcmc)
+            for name, patch in (("draw_z_row", row), ("resample_all_y", reference_resample_all_y))
+            ] + [mock.patch.object(gibbs, "sample_new_causes", fresh)]
 
 
-def _checked_row_index(X, entries):
-    """Patches that assert, at every z entry, that the active trials and
-    the log-odds handed over are cause k's and equal the reference sum,
-    and after it and at every fresh-cause draw, that the row's
-    flat index still equals one built from the counts; entries gets
-    (i, k, old, new) per entry."""
+def _checked_passes(X, entries, flips):
+    """Patches that assert, at every z row, that the sweep hands over its
+    sampler's columns (the shared ones of a gibbs row, all of a finite
+    one), the prior's log-odds at each, the active layout of the current
+    Y and the row's index built from the counts; at every call of an entry
+    function, that the active trials and the log-odds handed over are
+    cause k's and equal the reference sum, and after it, at the end of the
+    row and at every fresh-cause draw, that the row's index equals one
+    built from the counts.  entries gets (i, k, old, new) per entry of
+    every row that ends, flips the same per entry call."""
+    real_row, real_fresh = gibbs.draw_z_row, gibbs.sample_new_causes
     real_gibbs, real_finite = gibbs.gibbs_sample_z_entry, rjmcmc.finite_conditional_z
-    real_fresh = gibbs.sample_new_causes
+
+    def row(state, i, cols, prior, row_idx, layout, rng, entry):
+        finite = isinstance(state, FiniteState)
+        m_minus = state.column_sums - state.Z[i]
+        np.testing.assert_array_equal(cols, np.arange(state.k) if finite else m_minus.nonzero()[0])
+        theta = np.array([_theta_bar(state, i, k) for k in cols.tolist()], dtype=np.float64)
+        assert prior.tobytes() == _log_odds(theta).tobytes()
+        for got, want in zip(layout, gibbs.active_layout(state.Y)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        old = state.Z[i, cols].tolist()
+        real_row(state, i, cols, prior, row_idx, layout, rng, entry)
+        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        entries.extend(zip([i] * len(old), cols.tolist(), old, state.Z[i, cols].tolist()))
 
     def checked(draw, state, i, k, row_idx, active, log_odds):
         np.testing.assert_array_equal(active, state.Y[k].nonzero()[0])
@@ -345,36 +377,79 @@ def _checked_row_index(X, entries):
         old = int(state.Z[i, k])
         new = draw()
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
-        entries.append((i, k, old, new))
+        flips.append((i, k, old, new))
         return new
 
-    def gibbs_entry(state, i, k, row_idx, active, rng, log_odds):
-        return checked(lambda: real_gibbs(state, i, k, row_idx, active, rng, log_odds),
+    def gibbs_entry(state, i, k, row_idx, active, u, log_odds):
+        return checked(lambda: real_gibbs(state, i, k, row_idx, active, u, log_odds),
                        state, i, k, row_idx, active, log_odds)
 
-    def finite_entry(state, i, k, row_idx, active, rng, log_odds):
-        return checked(lambda: real_finite(state, i, k, row_idx, active, rng, log_odds),
+    def finite_entry(state, i, k, row_idx, active, u, log_odds):
+        return checked(lambda: real_finite(state, i, k, row_idx, active, u, log_odds),
                        state, i, k, row_idx, active, log_odds)
 
     def fresh(state, i, X, row_idx, rng):
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
         return real_fresh(state, i, X, row_idx, rng)
 
-    return [mock.patch.object(gibbs, "gibbs_sample_z_entry", gibbs_entry),
+    return [mock.patch.object(gibbs, "draw_z_row", row),
+            mock.patch.object(rjmcmc, "draw_z_row", row),
+            mock.patch.object(gibbs, "gibbs_sample_z_entry", gibbs_entry),
             mock.patch.object(rjmcmc, "finite_conditional_z", finite_entry),
             mock.patch.object(gibbs, "sample_new_causes", fresh)]
 
 
-def _run(sweep, state, X, seed, patches):
+def _run(sweep, state, X, seed, patches, sweeps=1):
     rng = np.random.default_rng(seed)
     with contextlib.ExitStack() as stack:
         for patch in patches:
             stack.enter_context(patch)
         try:
-            sweep(state, X, rng)
+            for _ in range(sweeps):
+                sweep(state, X, rng)
         except DegenerateModelError:
             return None
     return rng.bit_generator.state
+
+
+def _flips(entries):
+    return [entry for entry in entries if entry[2] != entry[3]]
+
+
+def _row_matches_reference(state, ref, i, X, prior, entry, thetas, rng, ref_rng):
+    """Draw row i of state through ``gibbs.draw_z_row`` with prior
+    log-odds prior and entry function entry, and of ref entry by entry
+    through ``reference_z_entry`` at prior weights thetas; assert the same
+    flips in order, the same raise and the same state, and without a raise
+    the same stream position and an index built from the counts.  Returns
+    whether the row raised."""
+    row_idx, flips, ref_flips = row_index(state, i, X), [], []
+
+    def record(state, i, k, row_idx, active, u, log_odds):
+        old = int(state.Z[i, k])
+        flips.append((i, k, old, entry(state, i, k, row_idx, active, u, log_odds)))
+        return flips[-1][3]
+
+    try:
+        gibbs.draw_z_row(state, i, np.arange(state.k), prior, row_idx,
+                         gibbs.active_layout(state.Y), rng, record)
+        raised = False
+    except DegenerateModelError:
+        raised = True
+    try:
+        for k in range(ref.k):
+            old = int(ref.Z[i, k])
+            ref_flips.append((i, k, old, reference_z_entry(ref, i, k, X, ref_rng, thetas[k])))
+        ref_raised = False
+    except DegenerateModelError:
+        ref_raised = True
+    assert raised == ref_raised
+    assert flips == _flips(ref_flips)
+    _assert_same_state(state, ref)
+    if not raised:
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+    return raised
 
 
 SWEEPS = {
@@ -395,20 +470,28 @@ _KERNEL_EXAMPLE = (
 
 
 class TestRowKernel:
-    @given(case=matrices(min_k=1), i=st.integers(0, 63), order=st.permutations(range(6)),
-           size=st.integers(1, 6))
-    @example(case=_KERNEL_EXAMPLE, i=0, order=[2, 1, 0, 3, 4, 5], size=3)
-    def test_log_odds_equal_elementwise_sums(self, case, i, order, size):
-        """Bit for bit, each column's log-odds from the row's one gather
-        equals the elementwise sum of ``reference_z_log_odds``, NaN where
-        it is NaN."""
+    @given(case=matrices(min_k=1), i=st.integers(0, 63), start=st.integers(0, 6))
+    @example(case=_KERNEL_EXAMPLE, i=0, start=0)
+    @example(case=_KERNEL_EXAMPLE, i=0, start=1)
+    def test_log_odds_equal_elementwise_sums(self, case, i, start):
+        """The active layout holds each cause's active trials, and, bit for
+        bit, the row kernel on its pairs from cause start on gives each
+        later cause the elementwise sum of ``reference_z_log_odds``, NaN
+        where it is NaN, and each earlier cause 0."""
         Z, Y, X, params = case
         state = SamplerState.from_matrices(Z, Y, params)
         i %= state.n_rows
-        cols = [k for k in order if k < state.k][:size]
-        actives = [state.Y[k].nonzero()[0] for k in cols]
-        got = gibbs.z_log_odds(state, i, cols, row_index(state, i, X), actives)
-        np.testing.assert_array_equal(got, [reference_z_log_odds(state, i, k, X) for k in cols])
+        start = min(start, state.k)
+        seg, cat, starts = gibbs.active_layout(state.Y)
+        assert starts[state.k] == cat.size
+        for k in range(state.k):
+            np.testing.assert_array_equal(cat[starts[k]:starts[k + 1]], state.Y[k].nonzero()[0])
+            np.testing.assert_array_equal(seg[starts[k]:starts[k + 1]], k)
+        b = starts[start]
+        got = gibbs.z_log_odds(state, i, row_index(state, i, X), seg[b:], cat[b:])
+        want = [0.0] * start + [reference_z_log_odds(state, i, k, X)
+                                for k in range(start, state.k)]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestPassesMatchReference:
@@ -438,37 +521,30 @@ class TestPassesMatchReference:
     @given(case=matrices(min_k=1), i=st.integers(0, 63),
            thetas=st.lists(probs, min_size=6, max_size=6), seed=st.integers(0, 2**32 - 1))
     def test_z_entries_match_per_entry_gather(self, case, i, thetas, seed):
+        """A row drawn from one block of uniforms, at any prior weights
+        including 0 and 1, flips and raises where the per-entry gather
+        does, one uniform per entry."""
         Z, Y, X, params = case
         state = SamplerState.from_matrices(Z, Y, params)
         ref = SamplerState.from_matrices(Z, Y, params)
         i %= state.n_rows
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        row_idx = row_index(state, i, X)
-        for k in range(state.k):
-            active = state.Y[k].nonzero()[0]
-            try:
-                got = gibbs._sample_z_given_theta(state, i, k, row_idx, active, rng, thetas[k],
-                                                  reference_z_log_odds(state, i, k, X))
-            except DegenerateModelError:
-                with pytest.raises(DegenerateModelError):
-                    reference_z_entry(ref, i, k, X, ref_rng, thetas[k])
-                got = None
-            else:
-                assert got == reference_z_entry(ref, i, k, X, ref_rng, thetas[k])
-            _assert_same_state(state, ref)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            np.testing.assert_array_equal(row_idx, row_index(state, i, X))
-            if got is None:
-                return
+        prior = _log_odds(np.array(thetas[:state.k]))
+
+        def entry(state, i, k, row_idx, active, u, log_odds):
+            logit = float(prior[k]) + float(log_odds)
+            return gibbs.draw_z_entry(state, i, k, row_idx, active, u, logit)
+
+        _row_matches_reference(state, ref, i, X, prior, entry, thetas,
+                               np.random.default_rng(seed), np.random.default_rng(seed))
 
     @settings(max_examples=40)  # each example runs 18 parameter settings
     @given(case=matrices(min_k=1), seed=st.integers(0, 2**32 - 1))
     def test_z_draws_match_reference_at_boundaries(self, case, seed):
         """At every (epsilon, lam, p) of ``BOUNDARY_PARAMS``, and with the
-        predictive=False prior weight clamped at 1 (alpha / K >= N), a z
-        draw from the row kernel's log-odds raises exactly where the
-        reference pair has both weights at -inf, and elsewhere draws the
-        reference's value from the same uniform."""
+        predictive=False prior weight clamped at 1 (alpha / K >= N), rows
+        drawn through ``finite_conditional_z`` raise exactly where the
+        reference pair has both weights at -inf, and elsewhere flip where
+        the reference does, from the same uniforms."""
         Z, Y, X, drawn = case
         n, k = Z.shape
         for eps, lam, p in BOUNDARY_PARAMS:
@@ -477,50 +553,64 @@ class TestPassesMatchReference:
                 state = FiniteState.from_matrices(Z, Y, params, predictive=predictive)
                 ref = FiniteState.from_matrices(Z, Y, params, predictive=predictive)
                 rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                active = [y.nonzero()[0] for y in state.Y]
                 for i in range(n):
-                    row_idx = row_index(state, i, X)
-                    for c, log_odds in gibbs.z_row(state, i, list(range(k)), row_idx, active):
-                        m_minus = int(ref.column_sums[c]) - int(ref.Z[i, c])
-                        theta = rjmcmc.finite_theta_bar(m_minus, n, k, alpha, predictive)
-                        assert predictive or theta == 1.0
-                        ll0, ll1 = reference_z_log_likelihoods(ref, i, c, X)
-                        zero_mass = ((theta == 0.0 or ll1 == -math.inf)
-                                     and (theta == 1.0 or ll0 == -math.inf))
-                        entry = (state, i, c, row_idx, active[c], rng, log_odds)
-                        if zero_mass:
-                            with pytest.raises(DegenerateModelError):
-                                rjmcmc.finite_conditional_z(*entry)
-                            with pytest.raises(DegenerateModelError):
-                                reference_z_entry(ref, i, c, X, ref_rng, theta)
-                            break
-                        got = rjmcmc.finite_conditional_z(*entry)
-                        assert got == reference_z_entry(ref, i, c, X, ref_rng, theta)
-                        _assert_same_state(state, ref)
-                        assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    thetas = [_theta_bar(ref, i, c) for c in range(k)]
+                    assert predictive or thetas == [1.0] * k
+                    prior = _log_odds(np.array(thetas, dtype=np.float64))
+                    if _row_matches_reference(state, ref, i, X, prior, rjmcmc.finite_conditional_z,
+                                              thetas, rng, ref_rng):
+                        break
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
-    @given(case=matrices(min_k=1), seed=st.integers(0, 2**32 - 1))
+    @given(case=matrices(min_k=1, shared=True), seed=st.integers(0, 2**32 - 1))
     def test_sweeps_match_reference_passes(self, sweep, case, seed):
-        """Whole sweeps build each row's index and each cause's active
-        trials where the z entries need them: the same draws as sweeps on
-        the reference passes, the active trials of cause k at every entry,
-        and after it an index equal to one built from the counts."""
+        """Whole sweeps hand each row its columns, prior, layout and index,
+        and reach an entry function only to flip or raise: the same flips
+        in the same order as sweeps whose rows draw entry by entry, the
+        same state and the same stream position.  Column 0 links two rows,
+        so every sweep draws entries."""
         Z, Y, X, params = case
         cls, run = SWEEPS[sweep]
         state = cls.from_matrices(Z, Y, params)
         ref = cls.from_matrices(Z, Y, params)
-        entries, ref_entries = [], []
-        got = _run(run, state, X, seed, _checked_row_index(X, entries))
+        entries, flips, ref_entries = [], [], []
+        got = _run(run, state, X, seed, _checked_passes(X, entries, flips))
         want = _run(run, ref, X, seed, _reference_passes(X, ref_entries))
         assert (got is None) == (want is None)
-        assert entries == ref_entries
+        assert ref_entries or want is None  # only a raise at the first entry leaves none
+        # a row that raises records no entries; the reference's stop at the raise
+        assert entries == ref_entries[:len(entries)]
+        assert flips == _flips(ref_entries)
         if got is not None:
+            assert entries == ref_entries
             assert got == want
             _assert_same_state(state, ref)
             check_consistency(state)
             # every row of a finite state draws each of its K >= 1 entries
-            assert sweep == "gibbs" or len(entries) >= state.n_rows
+            assert sweep == "gibbs" or len(ref_entries) >= state.n_rows
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_stream_after_sweeps_matches_reference(self, sweep):
+        """On 12 x 200 data, five sweeps leave the generator where five
+        sweeps of per-entry rows leave it, with the same flips and state:
+        a row's block of uniforms is the stream of one per entry."""
+        rng = np.random.default_rng(31)
+        Z = (rng.random((12, 6)) < 0.3).astype(np.int8)
+        Z[:2] = 1
+        Y = (rng.random((6, 200)) < 0.2).astype(np.int8)
+        X = (rng.random((12, 200)) < 0.3).astype(np.int8)
+        params = ModelParams(epsilon=0.02, lam=0.8, p=0.2, alpha=2.0)
+        cls, run = SWEEPS[sweep]
+        state = cls.from_matrices(Z, Y, params)
+        ref = cls.from_matrices(Z, Y, params)
+        entries, flips, ref_entries = [], [], []
+        got = _run(run, state, X, 4, _checked_passes(X, entries, flips), sweeps=5)
+        want = _run(run, ref, X, 4, _reference_passes(X, ref_entries), sweeps=5)
+        assert got is not None and got == want
+        assert entries == ref_entries
+        assert flips and flips == _flips(ref_entries)
+        assert len(ref_entries) > len(flips)
+        _assert_same_state(state, ref)
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     def test_entries_after_a_flip_read_the_moved_index(self, sweep):
@@ -537,13 +627,33 @@ class TestPassesMatchReference:
         for seed in range(5):
             state = cls.from_matrices(Z, Y, params)
             ref = cls.from_matrices(Z, Y, params)
-            entries, ref_entries = [], []
-            got = _run(run, state, X, seed, _checked_row_index(X, entries))
+            entries, flips, ref_entries = [], [], []
+            got = _run(run, state, X, seed, _checked_passes(X, entries, flips))
             want = _run(run, ref, X, seed, _reference_passes(X, ref_entries))
             assert got is not None and got == want
             assert entries == ref_entries
-            assert entries[:3] == [(0, 0, 0, 1), (0, 1, 0, 0), (0, 2, 0, 0)]
+            assert flips == _flips(ref_entries)
+            assert ref_entries[:3] == [(0, 0, 0, 1), (0, 1, 0, 0), (0, 2, 0, 0)]
             _assert_same_state(state, ref)
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_nan_before_a_flip_raises(self, sweep):
+        """Row 0's cause 0 meets x = 1 and x = 0 at count 0 with no leak
+        and lam = 1, so its log-odds is +inf - inf: both states at zero
+        mass, while z[0, 0] = 0 equals any comparison with the NaN.  Cause
+        1 would flip z[0, 1] (x = 1 at count 0).  The sweep raises at entry
+        0 and leaves z[0, 1] as it was."""
+        Z = np.array([[0, 0], [1, 1]], dtype=np.int8)
+        Y = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int8)
+        X = np.array([[1, 0, 1], [1, 1, 1]], dtype=np.int8)
+        params = ModelParams(epsilon=0.0, lam=1.0, p=0.3, alpha=1.5)
+        cls, run = SWEEPS[sweep]
+        for seed in range(5):
+            state = cls.from_matrices(Z, Y, params)
+            entries, flips = [], []
+            assert _run(run, state, X, seed, _checked_passes(X, entries, flips)) is None
+            assert entries == flips == []
+            np.testing.assert_array_equal(state.Z[:, :2], Z)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class TestFiniteThetaBar:
         state.column_sums[0] = 0
         X = np.zeros((2, 2), dtype=np.int8)
         z = finite_conditional_z(state, 0, 0, row_index(state, 0, X), state.Y[0].nonzero()[0],
-                                 np.random.default_rng(0), reference_z_log_odds(state, 0, 0, X))
+                                 0.5, reference_z_log_odds(state, 0, 0, X))
         assert z in (0, 1)
         check_consistency(state)
 
