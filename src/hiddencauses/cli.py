@@ -34,7 +34,7 @@ from .harness import (
 from .hypers import MH_STEP
 from .model import DegenerateModelError, ModelParams
 from .rjmcmc import make_k_prior
-from .runner import INITS, RANDOM_INIT_K, SAMPLERS, run_chain
+from .runner import INITS, SAMPLERS, run_chain, start_dimension
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -291,7 +291,7 @@ def cmd_fit(args) -> int:
     if args.sampler == "rjmcmc" and (args.prior_k != "poisson" or args.prior_k_mean is not None):
         k_prior = make_k_prior(args.prior_k, mean=args.prior_k_mean, q=args.prior_k_q,
                                k_max=args.k_max)
-        start_k = RANDOM_INIT_K if args.init == "random10" else 1
+        start_k = start_dimension(args.sampler, args.init)
         if k_prior.log_pmf(start_k) == -math.inf:
             raise UsageError(f"--init {args.init} starts at K = {start_k}, "
                              f"which the K prior gives zero mass")
@@ -387,6 +387,8 @@ def cmd_replicate(args) -> int:
         checkpoints = args.checkpoints
         if checkpoints is None:
             checkpoints = [c for c in experiments.DEFAULT_CHECKPOINTS if c <= args.iterations]
+            if not checkpoints:
+                raise UsageError(f"no checkpoint lies within --iterations {args.iterations}")
         elif max(checkpoints) > args.iterations:
             raise UsageError(f"--checkpoints {max(checkpoints)} lies beyond "
                              f"--iterations {args.iterations}")

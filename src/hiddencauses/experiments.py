@@ -36,7 +36,7 @@ from .harness import (
     structure_error,
 )
 from .model import ModelParams
-from .runner import run_chain
+from .runner import INITS, SAMPLERS, run_chain
 
 DEFAULT_PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=3.0)
 DEFAULT_CHECKPOINTS = (1, 2, 5, 10, 25, 50, 100, 250, 500)
@@ -52,12 +52,11 @@ def _dataset_rng(master_seed: int, condition: int, index: int) -> np.random.Gene
 
 
 def _chain_rng(master_seed: int, condition: int, index: int, sampler: str, init: str):
-    codes = {"gibbs": 0, "rjmcmc": 1, "empty": 0, "random10": 1}
-    return np.random.default_rng(
-        np.random.SeedSequence(
-            (master_seed, condition, index, _CHAIN_TAG, codes[sampler], codes[init])
-        )
-    )
+    """The chain's generator; sampler and init enter as their places in
+    ``runner.SAMPLERS`` and ``runner.INITS``."""
+    return np.random.default_rng(np.random.SeedSequence(
+        (master_seed, condition, index, _CHAIN_TAG, SAMPLERS.index(sampler), INITS.index(init))
+    ))
 
 
 @dataclass(frozen=True)

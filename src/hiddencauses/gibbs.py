@@ -27,7 +27,7 @@ An activation row whose cause links one or two rows (every fresh cause,
 and most causes on long data) gathers its on-probabilities from the
 bundle's ``on_prob``, which adds in the summed path's order, so the
 draws are those of the summed path, which causes with three or more rows
-keep.  The fresh-cause draw reads ``model.fresh_cause_table``.
+keep.  The fresh-cause draw reads the bundle's ``fresh`` rows.
 """
 
 import math
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
 from .model import (MAX_NEW_CAUSES, TABLE_CACHE_SIZE, DegenerateModelError, SamplerState,
-                    draw_tables, flat_index, fresh_cause_table)
+                    draw_tables, flat_index)
 
 
 # k = 0..MAX_NEW_CAUSES fresh causes and log k!, their Poisson prior's terms free of alpha and N
@@ -86,7 +86,7 @@ def draw_z_row(state: SamplerState, i: int, cols: np.ndarray, prior: np.ndarray,
     log-odds of entry cols[j], which no draw of row i moves; layout is
     ``active_layout(state.Y)``.  Only the first entry whose draw changes
     z[i, k] or whose logit is NaN goes through
-    entry(state, i, k, row_idx, active, u, log_odds), which flips it or
+    entry(state, i, k, row_idx, active, u, logit), which flips it or
     raises; the flip moves row_idx, so the columns after it are scanned
     again."""
     seg, cat, starts = layout
@@ -103,7 +103,7 @@ def draw_z_row(state: SamplerState, i: int, cols: np.ndarray, prior: np.ndarray,
         if not event[first]:
             return
         k = int(cols[j + first])
-        entry(state, i, k, row_idx, cat[starts[k]:starts[k + 1]], u[j + first], log_odds[first])
+        entry(state, i, k, row_idx, cat[starts[k]:starts[k + 1]], u[j + first], logit[first])
         j += first + 1
 
 
@@ -130,17 +130,15 @@ def draw_z_entry(state: SamplerState, i: int, k: int, row_idx: np.ndarray, activ
 
 
 def gibbs_sample_z_entry(state: SamplerState, i: int, k: int, row_idx: np.ndarray,
-                         active: np.ndarray, u: float, log_odds: float) -> int:
+                         active: np.ndarray, u: float, logit: float) -> int:
     """Draw z[i, k] given everything else from the uniform u, for a column
-    some other row still uses (m_minus > 0), at prior weight m_minus / N.
-    row_idx is row i's flat table index, active cause k's active trials and
-    log_odds the entry's log-likelihood ratio (``z_log_odds``).  A sweep
-    calls it only where the draw flips z[i, k] or its logit is NaN."""
-    m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
-    if m_minus <= 0:
+    some other row still uses (m_minus > 0).  row_idx is row i's flat table
+    index, active cause k's active trials and logit the prior's log-odds at
+    weight m_minus / N plus the entry's log-likelihood ratio (``draw_z_row``).
+    A sweep calls it only where the draw flips z[i, k] or its logit is NaN."""
+    if state.column_sums[k] <= state.Z[i, k]:
         raise ValueError("column is a singleton of row i; handled by sample_new_causes")
-    prior = float(prior_log_odds(np.true_divide, state.n_rows)[m_minus])
-    return draw_z_entry(state, i, k, row_idx, active, u, prior + float(log_odds))
+    return draw_z_entry(state, i, k, row_idx, active, u, logit)
 
 
 def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
@@ -173,7 +171,7 @@ def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.nda
     ascending flat index.  Only occupied bins enter the product: an empty
     bin at a -inf entry would add 0 * -inf = NaN."""
     params = state.params
-    fresh = fresh_cause_table(params.lam, params.epsilon, params.p, state.k)
+    fresh = draw_tables(params.lam, params.epsilon, params.p, state.k).fresh
     hist = np.bincount(row_idx, minlength=fresh.shape[1])
     seen = hist.nonzero()[0]
     # one row per occupied bin: a sum over axis 0 adds the rows in order

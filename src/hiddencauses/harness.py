@@ -6,7 +6,6 @@ recovery metrics compare Z Z^T (co-assignment and in-degree structure)
 instead of Z itself.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,21 +183,21 @@ class SummaryAccumulator:
         )
 
 
-def _mean_zzt(summary) -> np.ndarray:
-    if isinstance(summary, PosteriorSummary):
-        return np.asarray(summary.mean_zzt, dtype=np.float64)
-    return np.asarray(summary, dtype=np.float64)
+def _estimate_and_truth(summary, Z_true) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior mean of Z Z^T (a PosteriorSummary's, or the matrix
+    itself) and the true Z, checked to be over the same observations."""
+    est = summary.mean_zzt if isinstance(summary, PosteriorSummary) else summary
+    est = np.asarray(est, dtype=np.float64)
+    Z = as_binary_matrix(Z_true, "Z_true")
+    if est.shape != (Z.shape[0], Z.shape[0]):
+        raise ValueError(f"summary is over {est.shape[0]} observations, truth has {Z.shape[0]}")
+    return est, Z
 
 
 def in_degree_error(summary, Z_true) -> float:
     """Sum over observations of |true in-degree - posterior mean in-degree|;
     in-degrees are the diagonal of Z Z^T."""
-    est = _mean_zzt(summary)
-    Z = as_binary_matrix(Z_true, "Z_true")
-    if est.shape != (Z.shape[0], Z.shape[0]):
-        raise ValueError(
-            f"summary is over {est.shape[0]} observations, truth has {Z.shape[0]}"
-        )
+    est, Z = _estimate_and_truth(summary, Z_true)
     true_diag = np.einsum("ik,ik->i", Z, Z).astype(np.float64)
     return float(np.abs(true_diag - np.diag(est)).sum())
 
@@ -206,12 +205,7 @@ def in_degree_error(summary, Z_true) -> float:
 def structure_error(summary, Z_true) -> float:
     """Sum over unordered pairs i < j of |true shared-cause count -
     posterior mean shared-cause count| (off-diagonal of Z Z^T)."""
-    est = _mean_zzt(summary)
-    Z = as_binary_matrix(Z_true, "Z_true")
-    if est.shape != (Z.shape[0], Z.shape[0]):
-        raise ValueError(
-            f"summary is over {est.shape[0]} observations, truth has {Z.shape[0]}"
-        )
+    est, Z = _estimate_and_truth(summary, Z_true)
     true_zzt = (Z.astype(np.int64) @ Z.T.astype(np.int64)).astype(np.float64)
     iu = np.triu_indices(Z.shape[0], k=1)
     return float(np.abs(true_zzt[iu] - est[iu]).sum())
@@ -246,22 +240,13 @@ class OracleResult:
     """Exact finite-model posterior over (Z, Y) by total enumeration.
 
     probs[zc, yc] is the posterior mass of the state whose Z bits encode
-    to zc and Y bits to yc (same bit order as encode_state).
+    to zc and Y bits to yc: ``encode_state(Z, Y)`` is zc above K T bits of yc.
     """
 
-    n_rows: int
-    k: int
-    n_trials: int
     probs: np.ndarray
     z_marginals: np.ndarray
     kplus_dist: np.ndarray
     log_evidence: float
-
-    def state_prob(self, Z, Y) -> float:
-        code = encode_state(Z, Y)
-        yc = code & ((1 << (self.k * self.n_trials)) - 1)
-        zc = code >> (self.k * self.n_trials)
-        return float(self.probs[zc, yc])
 
 
 def exact_posterior_oracle(
@@ -304,9 +289,6 @@ def exact_posterior_oracle(
     kplus_dist = np.zeros(k + 1)
     np.add.at(kplus_dist, kplus_per_z, z_mass)
     return OracleResult(
-        n_rows=n,
-        k=k,
-        n_trials=t,
         probs=probs,
         z_marginals=z_marg,
         kplus_dist=kplus_dist,

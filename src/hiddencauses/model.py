@@ -26,10 +26,9 @@ it by flat index x (cap + 1) + count (``likelihood_index``).
 ``draw_tables`` builds, once per (lam, epsilon, p, K), what the
 conditional draws of both samplers read: the log-odds table
 D[x, c] = L[x, c + 1] - L[x, c] of that table at cap K, the prior's
-log-odds, and the on-probability of an activation whose cause links one
-or two rows.
-``fresh_cause_table``, cached apart, holds the fresh-cause rows that
-only the unbounded sampler's fresh-cause draw reads.
+log-odds, the on-probability of an activation whose cause links one
+or two rows, and the table's rows with fresh causes summed out, which
+the unbounded sampler's fresh-cause draw reads.
 """
 
 import math
@@ -139,12 +138,12 @@ class DrawTables(NamedTuple):
     on_prob: np.ndarray  # [b, a]: P(y = 1 | rest) of a cause on rows at flat indices a, b
     degenerate: bool  # on_prob holds a NaN
     prior_log_odds: float  # log p - log(1 - p)
+    fresh: np.ndarray  # [j, i]: entry i of the raveled table with j fresh causes summed out
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
-    """The lookups of the conditional draws at K = k, built once per key;
-    the fresh-cause rows are ``fresh_cause_table``'s.
+    """The lookups of the conditional draws at K = k, built once per key.
 
     A two-point draw needs only the log-odds of a 1 against a 0: the
     prior's plus, over the entries it touches, D[x, c] at flat index
@@ -158,7 +157,14 @@ def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
     ``degenerate``, no activation sum is NaN, whatever its number of
     rows: the infinities it meets sit in one entry, or in two (or one
     and the prior) whose ``on_prob`` entry is NaN.
+
+    ``fresh`` row j, j = 0..MAX_NEW_CAUSES, sums out j fresh causes of
+    activation probability p; they multiply the off probability by
+    (1 - lam p)^j, so it is ``log_pmf_table(lam, epsilon, k, xlogy(j, 1 - lam p))``.
     """
+    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
+    fresh = log_pmf_table(lam, epsilon, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
+    fresh = fresh.reshape(MAX_NEW_CAUSES + 1, -1)
     table = shared_log_pmf_table(lam, epsilon, k)
     log_odds = np.zeros_like(table)
     with np.errstate(divide="ignore", invalid="ignore"):  # -inf - -inf is the NaN wanted
@@ -166,24 +172,9 @@ def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
         log_odds = log_odds.ravel()
         prior_log_odds = float(np.log(p) - np.log1p(-p))
         on_prob = expit(prior_log_odds + (log_odds[:, None] + log_odds))
-    log_odds.flags.writeable = False
-    on_prob.flags.writeable = False
-    return DrawTables(log_odds, on_prob, bool(np.isnan(on_prob).any()), prior_log_odds)
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def fresh_cause_table(lam: float, epsilon: float, p: float, k: int) -> np.ndarray:
-    """[j, i]: entry i of the raveled log-pmf table at cap k with j fresh
-    causes of activation probability p summed out, j = 0..MAX_NEW_CAUSES;
-    built once per key, read-only, and only for the fresh-cause draw.
-
-    Summed out, they multiply the off probability by (1 - lam p)^j, so
-    row j is ``log_pmf_table(lam, epsilon, k, xlogy(j, 1 - lam p))``."""
-    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
-    fresh = log_pmf_table(lam, epsilon, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
-    fresh = fresh.reshape(MAX_NEW_CAUSES + 1, -1)
-    fresh.flags.writeable = False
-    return fresh
+    for array in (log_odds, on_prob, fresh):
+        array.flags.writeable = False
+    return DrawTables(log_odds, on_prob, bool(np.isnan(on_prob).any()), prior_log_odds, fresh)
 
 
 def flat_index(x, counts, c_max: int) -> np.ndarray:

@@ -223,24 +223,18 @@ def finite_theta_bar(m_minus, n_rows: int, k: int, alpha: float, predictive: boo
     return np.minimum(1.0, (m_minus + ak) / n_rows)
 
 
-def _prior_log_odds(state: FiniteState) -> np.ndarray:
-    return prior_log_odds(finite_theta_bar, state.n_rows, state.k, state.params.alpha,
-                          state.predictive)
-
-
 def finite_conditional_z(state: FiniteState, i: int, k: int, row_idx: np.ndarray,
-                         active: np.ndarray, u: float, log_odds: float) -> int:
-    """Draw z[i, k] under the finite prior from the uniform u (valid for
-    m_minus = 0); the arguments are those of ``gibbs.gibbs_sample_z_entry``,
+                         active: np.ndarray, u: float, logit: float) -> int:
+    """Draw z[i, k] under the finite prior from the uniform u, at any m_minus,
+    0 included; the arguments are those of ``gibbs.gibbs_sample_z_entry``,
     and a sweep calls it only where the draw flips z[i, k] or meets a NaN."""
-    m_minus = int(state.column_sums[k]) - int(state.Z[i, k])
-    prior = float(_prior_log_odds(state)[m_minus])
-    return draw_z_entry(state, i, k, row_idx, active, u, prior + float(log_odds))
+    return draw_z_entry(state, i, k, row_idx, active, u, logit)
 
 
 def _z_pass(state: FiniteState, i: int, X, layout: tuple, rng: np.random.Generator) -> None:
     """Draw every z entry of row i; layout is ``gibbs.active_layout(state.Y)``."""
-    prior = _prior_log_odds(state).take(state.column_sums - state.Z[i])
+    prior = prior_log_odds(finite_theta_bar, state.n_rows, state.k, state.params.alpha,
+                           state.predictive).take(state.column_sums - state.Z[i])
     draw_z_row(state, i, np.arange(state.k), prior, flat_index(X[i], state.counts[i], state.k),
                layout, rng, finite_conditional_z)
 

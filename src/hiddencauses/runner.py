@@ -85,18 +85,16 @@ def initial_state(
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if init not in INITS:
         raise ValueError(f"init must be one of {INITS}, got {init!r}")
-    gibbs = sampler == "gibbs"
+    k0 = start_dimension(sampler, init)
     if init == "empty":
-        k0 = 0 if gibbs else 1
         Z = np.zeros((n, k0), dtype=np.int8)
         Y = np.zeros((k0, t), dtype=np.int8)
     else:
-        k0 = RANDOM_INIT_K
         Z = (rng.random((n, k0)) < 0.5).astype(np.int8)
         Y = (rng.random((k0, t)) < 0.5).astype(np.int8)
         for col in np.flatnonzero(Z.sum(axis=0) == 0):
             Z[int(rng.integers(n)), col] = 1
-    if gibbs:
+    if sampler == "gibbs":
         return SamplerState(Z=Z, Y=Y, params=params)
     if k_prior is None:
         k_prior = default_k_prior(params.alpha, n)
@@ -104,6 +102,14 @@ def initial_state(
         raise ValueError(f"the {init} start K = {k0} has zero mass under {k_prior}")
     return FiniteState(Z=Z, Y=Y, params=params, k_prior=k_prior, predictive=predictive,
                        duplicate_row_factor=duplicate_row_factor)
+
+
+def start_dimension(sampler: str, init: str) -> int:
+    """The start state's K: RANDOM_INIT_K under random10; under empty, 0
+    for the unbounded sampler and 1 for the finite one, which needs K >= 1."""
+    if init == "random10":
+        return RANDOM_INIT_K
+    return 0 if sampler == "gibbs" else 1
 
 
 def default_k_prior(alpha: float, n_rows: int) -> ShiftedPoissonK:

@@ -30,56 +30,53 @@ from hiddencauses.model import log_pmf_noisy_or, log_pmf_table
 PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=1.0)
 
 
-def _two_cause_state(X_unused=None):
-    Z = np.array([[0], [1]], dtype=np.int8)
-    Y = np.array([[1, 0]], dtype=np.int8)
-    return SamplerState.from_matrices(Z, Y, PARAMS)
+def _shared_column_state(Y):
+    """Column 0 links row 1 of three, so row 0 draws it at m_minus = 1."""
+    Z = np.array([[0], [1], [0]], dtype=np.int8)
+    return SamplerState.from_matrices(Z, np.array(Y, dtype=np.int8), PARAMS)
+
+
+# theta = m_minus / N = 1/3, so the prior's log-odds are log(1/2)
+PRIOR_LOG_ODDS = math.log(0.5)
 
 
 class TestZEntryConditional:
-    """The two-point draw of z[i, k] follows Bayes' rule with prior weight
-    m_minus / N; checked by Monte Carlo against hand-computed odds."""
+    """The two-point draw of z[i, k] follows Bayes' rule from the logit it
+    is handed, the prior's log-odds at weight m_minus / N plus the entry's
+    log-likelihood ratio; checked by Monte Carlo against hand-computed odds
+    at a prior whose log-odds are not 0."""
 
-    def _frequency(self, X, n_draws=20_000, seed=0):
-        state = _two_cause_state()
+    def _frequency(self, state, X, n_draws=20_000, seed=0):
         rng = np.random.default_rng(seed)
         row_idx = row_index(state, 0, X)  # each flip updates it
         active = state.Y[0].nonzero()[0]
         hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng.random(),
-                                        reference_z_log_odds(state, 0, 0, X))
+                                        PRIOR_LOG_ODDS + reference_z_log_odds(state, 0, 0, X))
                    for _ in range(n_draws))
         check_consistency(state)
         return hits / n_draws
 
     def test_frequency_matches_posterior_positive_evidence(self):
-        """X[0, 0] = 1 on the active trial: w1 = .5 * .901, w0 = .5 * .01."""
-        X = np.array([[1, 0], [0, 0]], dtype=np.int8)
-        want = 0.901 / (0.901 + 0.01)
-        got = self._frequency(X)
+        """X[0, 0] = 1 on the active trial: w1 = 1/3 * .901, w0 = 2/3 * .01."""
+        X = np.array([[1, 0], [0, 0], [0, 0]], dtype=np.int8)
+        want = 0.901 / (0.901 + 0.02)
+        got = self._frequency(_shared_column_state([[1, 0]]), X)
         sigma = math.sqrt(want * (1 - want) / 20_000)
         assert abs(got - want) < 4 * sigma
 
     def test_frequency_matches_posterior_negative_evidence(self):
-        """X[0, 0] = 0 on the active trial: w1 = .5 * .099, w0 = .5 * .99."""
-        X = np.zeros((2, 2), dtype=np.int8)
-        want = 0.099 / (0.099 + 0.99)
-        got = self._frequency(X, seed=1)
+        """X[0, 0] = 0 on the active trial: w1 = 1/3 * .099, w0 = 2/3 * .99."""
+        X = np.zeros((3, 2), dtype=np.int8)
+        want = 0.099 / (0.099 + 1.98)
+        got = self._frequency(_shared_column_state([[1, 0]]), X, seed=1)
         sigma = math.sqrt(want * (1 - want) / 20_000)
         assert abs(got - want) < 4 * sigma
 
     def test_inactive_cause_draws_prior(self):
         """With y[k] all zero the likelihood cancels and P(z=1) = m_minus/N."""
-        Z = np.array([[0], [1]], dtype=np.int8)
-        Y = np.array([[0, 0]], dtype=np.int8)
-        state = SamplerState.from_matrices(Z, Y, PARAMS)
-        X = np.array([[1, 1], [1, 1]], dtype=np.int8)
-        rng = np.random.default_rng(2)
-        row_idx, active = row_index(state, 0, X), state.Y[0].nonzero()[0]
-        draws = [gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng.random(),
-                                      reference_z_log_odds(state, 0, 0, X))
-                 for _ in range(20_000)]
-        freq = np.mean(draws)
-        assert abs(freq - 0.5) < 4 * math.sqrt(0.25 / 20_000)
+        X = np.ones((3, 2), dtype=np.int8)
+        got = self._frequency(_shared_column_state([[0, 0]]), X, seed=2)
+        assert abs(got - 1.0 / 3.0) < 4 * math.sqrt(2.0 / 9.0 / 20_000)
 
     def test_singleton_column_rejected(self):
         """Columns only row i uses belong to the fresh-cause move instead."""
@@ -89,8 +86,7 @@ class TestZEntryConditional:
         X = np.zeros((2, 2), dtype=np.int8)
         row_idx, active = row_index(state, 0, X), state.Y[0].nonzero()[0]
         with pytest.raises(ValueError):
-            gibbs_sample_z_entry(state, 0, 0, row_idx, active, 0.5,
-                                 reference_z_log_odds(state, 0, 0, X))
+            gibbs_sample_z_entry(state, 0, 0, row_idx, active, 0.5, 0.0)
 
 
 class TestYEntryConditional:

@@ -190,8 +190,9 @@ class TestExactPosteriorOracle:
         np.testing.assert_allclose(oracle.z_marginals, [[9.0 / 14.0]], rtol=1e-12)
         np.testing.assert_allclose(oracle.kplus_dist, [5.0 / 14.0, 9.0 / 14.0], rtol=1e-12)
         np.testing.assert_allclose(oracle.log_evidence, math.log(0.28), rtol=1e-12)
-        np.testing.assert_allclose(oracle.state_prob([[1]], [[1]]), 3.0 / 7.0, rtol=1e-12)
-        np.testing.assert_allclose(oracle.state_prob([[0]], [[1]]), 1.0 / 7.0, rtol=1e-12)
+        for z, want in ((1, 3.0 / 7.0), (0, 1.0 / 7.0)):
+            code = encode_state([[z]], [[1]])  # z's bit above the K T = 1 bit of Y
+            np.testing.assert_allclose(oracle.probs[code >> 1, code & 1], want, rtol=1e-12)
 
     def test_normalization_and_marginal_bounds(self):
         params = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=1.0)

@@ -41,7 +41,6 @@ from hiddencauses.gibbs import (
 from hiddencauses.model import (
     draw_tables,
     flat_index,
-    fresh_cause_table,
     log_likelihood_from_counts,
     log_pmf_noisy_or,
     log_pmf_table,
@@ -110,8 +109,9 @@ class TestCachesUnderMoves:
         for move, a, b in moves:
             i, k = a % n, b % state.k
             if move == "z":
+                logit = _log_odds(_theta_bar(state, i, k)) + reference_z_log_odds(state, i, k, X)
                 entry = (state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0],
-                         rng.random(), reference_z_log_odds(state, i, k, X))
+                         rng.random(), logit)
                 if state.column_sums[k] - state.Z[i, k] > 0:
                     gibbs_sample_z_entry(*entry)
                 else:
@@ -189,7 +189,7 @@ def _assert_gathers_match_elementwise(state, X):
             got, reference_fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
         )
         # the prior's terms, cached per (alpha, N), add as the uncached expression did
-        fresh = fresh_cause_table(lam, eps, params.p, state.k)
+        fresh = draw_tables(lam, eps, params.p, state.k).fresh
         hist = np.bincount(row_index(state, i, X), minlength=fresh.shape[1])
         seen = hist.nonzero()[0]
         loglik = (fresh.T[seen] * hist[seen, None]).sum(axis=0)
@@ -249,23 +249,24 @@ class TestSharedTables:
             elif move == "compact" and state.kplus:
                 compact_state(state)
             elif move == "z":
+                logit = _log_odds(_theta_bar(state, i, k)) + reference_z_log_odds(state, i, k, X)
                 finite_conditional_z(state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0],
-                                     rng.random(), reference_z_log_odds(state, i, k, X))
+                                     rng.random(), logit)
             elif move == "y":
                 resample_y_row(state, k, X, rng.random(t))
             _assert_gathers_match_elementwise(state, X)
 
     def test_shared_tables_are_read_only(self):
         tables = draw_tables(0.9, 0.01, 0.1, 4)
-        fresh = fresh_cause_table(0.9, 0.01, 0.1, 4)
-        for table in (shared_log_pmf_table(0.9, 0.01, 4), tables.log_odds, tables.on_prob, fresh):
+        for table in (shared_log_pmf_table(0.9, 0.01, 4), tables.log_odds, tables.on_prob,
+                      tables.fresh):
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 0.0
             with pytest.raises(ValueError):
                 table.ravel()[0] = 0.0
         assert shared_log_pmf_table(0.9, 0.01, 4) is shared_log_pmf_table(0.9, 0.01, 4)
         assert draw_tables(0.9, 0.01, 0.1, 4) is tables
-        assert fresh_cause_table(0.9, 0.01, 0.1, 4) is fresh
+        assert draw_tables(0.9, 0.01, 0.1, 4).fresh is tables.fresh
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +350,15 @@ def _checked_passes(X, entries, flips):
     sampler's columns (the shared ones of a gibbs row, all of a finite
     one), the prior's log-odds at each, the active layout of the current
     Y and the row's index built from the counts; at every call of an entry
-    function, that the active trials and the log-odds handed over are
-    cause k's and equal the reference sum, and after it, at the end of the
+    function, that the active trials handed over are cause k's and the
+    logit, bit for bit, the row's prior at k plus the reference sum of
+    ``reference_z_log_odds``, and after it, at the end of the
     row and at every fresh-cause draw, that the row's index equals one
     built from the counts.  entries gets (i, k, old, new) per entry of
     every row that ends, flips the same per entry call."""
     real_row, real_fresh = gibbs.draw_z_row, gibbs.sample_new_causes
     real_gibbs, real_finite = gibbs.gibbs_sample_z_entry, rjmcmc.finite_conditional_z
+    row_prior = {}  # column -> the prior's log-odds handed to the current row
 
     def row(state, i, cols, prior, row_idx, layout, rng, entry):
         finite = isinstance(state, FiniteState)
@@ -367,26 +370,28 @@ def _checked_passes(X, entries, flips):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
         old = state.Z[i, cols].tolist()
+        row_prior.clear()
+        row_prior.update(zip(cols.tolist(), prior.tolist()))
         real_row(state, i, cols, prior, row_idx, layout, rng, entry)
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
         entries.extend(zip([i] * len(old), cols.tolist(), old, state.Z[i, cols].tolist()))
 
-    def checked(draw, state, i, k, row_idx, active, log_odds):
+    def checked(draw, state, i, k, row_idx, active, logit):
         np.testing.assert_array_equal(active, state.Y[k].nonzero()[0])
-        np.testing.assert_array_equal(log_odds, reference_z_log_odds(state, i, k, X))
+        np.testing.assert_array_equal(logit, row_prior[k] + reference_z_log_odds(state, i, k, X))
         old = int(state.Z[i, k])
         new = draw()
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
         flips.append((i, k, old, new))
         return new
 
-    def gibbs_entry(state, i, k, row_idx, active, u, log_odds):
-        return checked(lambda: real_gibbs(state, i, k, row_idx, active, u, log_odds),
-                       state, i, k, row_idx, active, log_odds)
+    def gibbs_entry(state, i, k, row_idx, active, u, logit):
+        return checked(lambda: real_gibbs(state, i, k, row_idx, active, u, logit),
+                       state, i, k, row_idx, active, logit)
 
-    def finite_entry(state, i, k, row_idx, active, u, log_odds):
-        return checked(lambda: real_finite(state, i, k, row_idx, active, u, log_odds),
-                       state, i, k, row_idx, active, log_odds)
+    def finite_entry(state, i, k, row_idx, active, u, logit):
+        return checked(lambda: real_finite(state, i, k, row_idx, active, u, logit),
+                       state, i, k, row_idx, active, logit)
 
     def fresh(state, i, X, row_idx, rng):
         np.testing.assert_array_equal(row_idx, row_index(state, i, X))
@@ -425,9 +430,9 @@ def _row_matches_reference(state, ref, i, X, prior, entry, thetas, rng, ref_rng)
     whether the row raised."""
     row_idx, flips, ref_flips = row_index(state, i, X), [], []
 
-    def record(state, i, k, row_idx, active, u, log_odds):
+    def record(state, i, k, row_idx, active, u, logit):
         old = int(state.Z[i, k])
-        flips.append((i, k, old, entry(state, i, k, row_idx, active, u, log_odds)))
+        flips.append((i, k, old, entry(state, i, k, row_idx, active, u, logit)))
         return flips[-1][3]
 
     try:
@@ -529,12 +534,7 @@ class TestPassesMatchReference:
         ref = SamplerState.from_matrices(Z, Y, params)
         i %= state.n_rows
         prior = _log_odds(np.array(thetas[:state.k]))
-
-        def entry(state, i, k, row_idx, active, u, log_odds):
-            logit = float(prior[k]) + float(log_odds)
-            return gibbs.draw_z_entry(state, i, k, row_idx, active, u, logit)
-
-        _row_matches_reference(state, ref, i, X, prior, entry, thetas,
+        _row_matches_reference(state, ref, i, X, prior, gibbs.draw_z_entry, thetas,
                                np.random.default_rng(seed), np.random.default_rng(seed))
 
     @settings(max_examples=40)  # each example runs 18 parameter settings
@@ -708,8 +708,6 @@ class TestDrawTables:
             for k in (0, 1, 4):
                 tables = draw_tables(lam, eps, p, k)
                 assert draw_tables(lam, eps, p, k) is tables
-                fresh_table = fresh_cause_table(lam, eps, p, k)
-                assert fresh_cause_table(lam, eps, p, k) is fresh_table
                 fresh = log_pmf_table(lam, eps, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
                 table = log_pmf_table(lam, eps, k)
                 log_odds = np.zeros_like(table)
@@ -719,13 +717,13 @@ class TestDrawTables:
                             log_odds[x, c] = table[x, c + 1] - table[x, c]
                     prior_log_odds = np.log(p) - np.log1p(-p)
                 for got, want in ((tables.log_odds, log_odds.ravel()),
-                                  (fresh_table, fresh.reshape(MAX_NEW_CAUSES + 1, -1)),
+                                  (tables.fresh, fresh.reshape(MAX_NEW_CAUSES + 1, -1)),
                                   (np.array(tables.prior_log_odds), prior_log_odds)):
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
                 assert tables.on_prob.shape == (2 * k + 2, 2 * k + 2)
                 assert tables.degenerate is bool(np.isnan(tables.on_prob).any())
-                for table in (tables.log_odds, tables.on_prob, fresh_table):
+                for table in (tables.log_odds, tables.on_prob, tables.fresh):
                     assert not table.flags.writeable
 
 

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from helpers import check_consistency, reference_z_log_odds, row_index
+from helpers import check_consistency
 from hiddencauses import (FiniteState, ModelParams, UniformK, finite_gibbs_sweep,
                           log_prior_Z_finite, rjmcmc_sweep)
+from hiddencauses import rjmcmc
+from hiddencauses.gibbs import active_layout
 from hiddencauses.rjmcmc import (
     GeometricK,
     ShiftedPoissonK,
     birth_acceptance,
     death_acceptance,
-    finite_conditional_z,
     finite_theta_bar,
     make_k_prior,
 )
@@ -108,19 +109,24 @@ class TestFiniteThetaBar:
         )
 
     def test_valid_at_empty_column(self):
-        """Unlike the unbounded sampler, m_minus = 0 is a legal finite draw."""
+        """Unlike the unbounded sampler, m_minus = 0 is a legal finite draw.
+        Row 0 of three draws an unlinked column at K = 1, alpha = 1:
+        theta = (0 + 1) / (3 + 1) = 1/4, and x = 1 on the active trial gives
+        w1 = 1/4 * (1 - .2 * .95) against w0 = 3/4 * .05.  Each row draw goes
+        through the sweep's own prior table, log-odds and comparison."""
         state = FiniteState.from_matrices(
-            np.array([[0], [1]], dtype=np.int8),
-            np.zeros((1, 2), dtype=np.int8),
-            PARAMS,
+            np.zeros((3, 1), dtype=np.int8), np.array([[1, 0]], dtype=np.int8), PARAMS
         )
-        state.Z[1, 0] = 0
-        state.column_sums[0] = 0
-        X = np.zeros((2, 2), dtype=np.int8)
-        z = finite_conditional_z(state, 0, 0, row_index(state, 0, X), state.Y[0].nonzero()[0],
-                                 0.5, reference_z_log_odds(state, 0, 0, X))
-        assert z in (0, 1)
+        X = np.array([[1, 0], [0, 0], [0, 0]], dtype=np.int8)
+        rng = np.random.default_rng(6)
+        n_draws = 20_000
+        hits = 0
+        for _ in range(n_draws):
+            rjmcmc._z_pass(state, 0, X, active_layout(state.Y), rng)
+            hits += int(state.Z[0, 0])
         check_consistency(state)
+        want = 0.81 / (0.81 + 0.15)
+        assert abs(hits / n_draws - want) < 4 * math.sqrt(want * (1 - want) / n_draws)
 
 
 def _linked_state(k_prior=GeometricK(q=0.5), n=3, k=2, t=4, seed=14):

@@ -619,6 +619,16 @@ class TestCliReplicate:
         rows = (out / "fig4_results.csv").read_text().splitlines()[1:]
         assert [row.split(",")[3] for row in rows] == ["1", "2"]
 
+    def test_zero_iterations_without_checkpoints_is_usage_error(self, tmp_path, capsys):
+        """No default checkpoint lies within 0 iterations; the study once
+        wrote a header-only table and exited 0."""
+        out = tmp_path / "study"
+        argv = ["replicate", "fig4", "--out", str(out), "--iterations", "0", "--datasets", "1",
+                "--t", "10", "--samplers", "gibbs", "--structures", "degree1"]
+        assert main(argv) == EXIT_USAGE
+        assert "--iterations 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_k_range_is_usage_error(self, tmp_path):
         code = main(
             ["replicate", "fig3", "--out", str(tmp_path / "s"), "--k-range", "1,two"]
