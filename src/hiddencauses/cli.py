@@ -112,7 +112,7 @@ def build_parser(config=None) -> _Parser:
     g.add_argument("--n", type=_pos_int, help="observations (with --k-target)")
     g.add_argument("--k-target", type=_nonneg_int, help="true number of causes (with --n)")
     g.add_argument("--t", type=_pos_int, default=500, help="trials")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_nonneg_int, default=0)
     g.add_argument("--max-tries", type=_pos_int, default=MAX_TRIES, help="rejection budget")
     _add_param_flags(g)
 
@@ -122,7 +122,7 @@ def build_parser(config=None) -> _Parser:
     f.add_argument("--config", help="JSON file of flag defaults")
     f.add_argument("--sampler", choices=SAMPLERS, default="gibbs")
     f.add_argument("--iterations", type=_nonneg_int, default=500)
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_nonneg_int, default=0)
     f.add_argument("--init", choices=INITS, default="empty")
     f.add_argument("--infer-hypers", action="store_true",
                    help="resample lambda, epsilon, p (and alpha under gibbs) each sweep")
@@ -154,7 +154,7 @@ def build_parser(config=None) -> _Parser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--datasets", type=_pos_int, default=10, help="datasets per condition")
     common.add_argument("--iterations", type=_nonneg_int, default=500)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_nonneg_int, default=0)
     common.add_argument("--jobs", type=_pos_int, default=1,
                         help="parallel worker processes (at most one per run and per core)")
     common.add_argument("--samplers", type=_list_of(_one_of(SAMPLERS)), default="gibbs,rjmcmc")

@@ -95,6 +95,10 @@ def read_dataset_bundle(path) -> Dataset:
     if (bundle / "Z.csv").exists():
         Z = read_matrix_csv(bundle / "Z.csv")
         Y = read_matrix_csv(bundle / "Y.csv")
+        if not Z.size:  # no cause: Z.csv holds N blank lines and Y.csv none
+            Z = Z.reshape(X.shape[0], 0)
+        if not Y.size:
+            Y = Y.reshape(0, X.shape[1])
         params = read_params_json(bundle / "params.json")
         if Z.shape[0] != X.shape[0]:
             raise ValueError(f"{bundle}: Z has {Z.shape[0]} rows, X has {X.shape[0]}")

@@ -36,13 +36,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
-from .model import (MAX_NEW_CAUSES, TABLE_CACHE_SIZE, DegenerateModelError, SamplerState,
-                    draw_tables, flat_index)
+from .model import (FRESH_COUNTS, MAX_NEW_CAUSES, TABLE_CACHE_SIZE, DegenerateModelError,
+                    DrawTables, SamplerState, draw_tables, flat_index)
 
 
-# k = 0..MAX_NEW_CAUSES fresh causes and log k!, their Poisson prior's terms free of alpha and N
-_FRESH_KS = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
-_FRESH_LOG_FACTORIALS = gammaln(_FRESH_KS + 1.0)
+# log k! for k = 0..MAX_NEW_CAUSES fresh causes, their Poisson prior's term free of alpha and N
+_FRESH_LOG_FACTORIALS = gammaln(FRESH_COUNTS + 1.0)
 
 
 def _set_z(state: SamplerState, i: int, k: int, new: int, row_idx: np.ndarray,
@@ -155,7 +154,7 @@ def marginal_on_prob(eta, k_new: int, params) -> np.ndarray:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _fresh_cause_log_rates(alpha: float, n: int) -> np.ndarray:
     """k log(alpha / n) for k = 0..MAX_NEW_CAUSES, built once per key, read-only."""
-    rates = xlogy(_FRESH_KS, alpha / n)
+    rates = xlogy(FRESH_COUNTS, alpha / n)
     rates.flags.writeable = False
     return rates
 
@@ -213,14 +212,10 @@ def sample_new_causes(
     return k_new
 
 
-def _y_conditional_log_odds(state: SamplerState, k: int, X, rows: np.ndarray) -> np.ndarray:
+def _y_conditional_log_odds(tables: DrawTables, idx: np.ndarray) -> np.ndarray:
     """Log-odds of y[k, t] = 1 for all trials at once (trials are
-    conditionally independent given the rest of the state); rows are the
-    rows of Z linked to cause k."""
-    params = state.params
-    tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
-    idx = flat_index(X[rows], state.counts[rows], state.k)
-    idx -= state.Y[k]
+    conditionally independent given the rest of the state); idx[r, t] is
+    the flat index of linked row r on trial t without y[k, t]."""
     terms = tables.log_odds.take(idx)
     if not tables.degenerate:  # then no sum meets +inf and -inf
         return tables.prior_log_odds + terms.sum(axis=0)
@@ -235,22 +230,23 @@ def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray) -> None:
     """One Gibbs pass over y[k, :], vectorized across trials, from the T
     uniforms u; the per-entry update would draw the same ones in order.
 
-    A cause linked to one or two rows gathers its on-probabilities from
-    the ``draw_tables`` entry of its rows' flat indices, one per trial;
-    any other sums its rows' log-odds (``_y_conditional_log_odds``)."""
+    The rows linked to cause k give one flat index per (row, trial), with
+    y[k, t] dropped.  A cause linked to one or two rows gathers its
+    on-probabilities from the ``draw_tables`` entry of that pair, one per
+    trial; any other sums its rows' log-odds (``_y_conditional_log_odds``)."""
+    params = state.params
+    tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
     rows = state.Z[:, k].nonzero()[0]
+    idx = flat_index(X[rows], state.counts[rows], state.k)
+    idx -= state.Y[k]
     if 0 < rows.size <= 2:
-        params = state.params
-        tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
-        idx = flat_index(X[rows], state.counts[rows], state.k)
-        idx -= state.Y[k]
         # a single row pairs with index K, which holds log-odds 0
         pair = (idx[1] if rows.size == 2 else state.k) * tables.on_prob.shape[0] + idx[0]
         prob = tables.on_prob.take(pair)
         if tables.degenerate and np.isnan(prob).any():
             raise DegenerateModelError("both states of an activation draw have zero mass")
     else:
-        prob = expit(_y_conditional_log_odds(state, k, X, rows))
+        prob = expit(_y_conditional_log_odds(tables, idx))
     new = u < prob
     diff = new - state.Y[k]
     if rows.size and diff.any():

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from . import ibp
 from .model import (
     ModelParams,
     as_binary_matrix,
@@ -116,13 +117,8 @@ def rejection_sample_Z(
     max_tries: int = MAX_TRIES,
 ) -> np.ndarray:
     """Draw Z from the unbounded-cause prior conditioned on K+ = k_target."""
-    # looked up at call time because perfbench/tracing.py patches
-    # ibp.sample_ibp; a module-level import would keep the unpatched
-    # function, and ibp.sample.calls would read 0
-    from .ibp import sample_ibp
-
     for _ in range(max_tries):
-        Z = sample_ibp(n_rows, alpha, rng)
+        Z = ibp.sample_ibp(n_rows, alpha, rng)
         if Z.shape[1] == k_target:
             return Z
     raise RejectionError(k_target, max_tries)

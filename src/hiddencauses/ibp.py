@@ -55,24 +55,14 @@ def sample_ibp(n_rows: int, alpha: float, rng: np.random.Generator) -> np.ndarra
         raise ValueError("n_rows must be >= 1")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    rows: list[np.ndarray] = []
-    m: list[int] = []  # earlier-row counts per column
+    Z = np.zeros((n_rows, 0), dtype=np.int8)
     for i in range(1, n_rows + 1):
-        k_before = len(m)
-        if k_before:
-            probs = np.array(m, dtype=np.float64) / i
-            taken = (rng.random(k_before) < probs).astype(np.int8)
-        else:
-            taken = np.zeros(0, dtype=np.int8)
+        m = Z.sum(axis=0, dtype=np.int64)  # earlier-row counts: rows i and on are still 0
+        Z[i - 1] = rng.random(m.size) < m / i
         fresh = _poisson_draw(alpha / i, rng)
-        rows.append(np.concatenate([taken, np.ones(fresh, dtype=np.int8)]))
-        for k in range(k_before):
-            m[k] += int(taken[k])
-        m.extend([1] * fresh)
-    k_total = len(m)
-    Z = np.zeros((n_rows, k_total), dtype=np.int8)
-    for i, row in enumerate(rows):
-        Z[i, : row.size] = row
+        if fresh:
+            Z = np.concatenate([Z, np.zeros((n_rows, fresh), dtype=np.int8)], axis=1)
+            Z[i - 1, -fresh:] = 1
     return Z
 
 

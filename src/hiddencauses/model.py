@@ -39,6 +39,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
+from . import ibp
+
 
 class DegenerateModelError(RuntimeError):
     """Every candidate in a conditional draw carries zero posterior mass.
@@ -117,6 +119,7 @@ def log_pmf_table(lam: float, epsilon: float, c_max: int, log_off_extra=0.0) -> 
 
 TABLE_CACHE_SIZE = 64  # covers the K values of a chain; each MH proposal adds a key
 MAX_NEW_CAUSES = 10  # truncation of the per-row Poisson draw of fresh columns
+FRESH_COUNTS = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)  # j = 0..MAX_NEW_CAUSES
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -162,8 +165,7 @@ def draw_tables(lam: float, epsilon: float, p: float, k: int) -> DrawTables:
     activation probability p; they multiply the off probability by
     (1 - lam p)^j, so it is ``log_pmf_table(lam, epsilon, k, xlogy(j, 1 - lam p))``.
     """
-    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
-    fresh = log_pmf_table(lam, epsilon, k, xlogy(ks, 1.0 - lam * p)[:, None, None])
+    fresh = log_pmf_table(lam, epsilon, k, xlogy(FRESH_COUNTS, 1.0 - lam * p)[:, None, None])
     fresh = fresh.reshape(MAX_NEW_CAUSES + 1, -1)
     table = shared_log_pmf_table(lam, epsilon, k)
     log_odds = np.zeros_like(table)
@@ -200,11 +202,6 @@ def log_likelihood_at(index: tuple[int, np.ndarray], lam: float, epsilon: float)
     return float(shared_log_pmf_table(lam, epsilon, c_max).ravel().take(idx).sum())
 
 
-def log_likelihood_from_counts(X, counts, lam: float, epsilon: float) -> float:
-    """Total log-likelihood given the cause-count matrix counts = Z @ Y."""
-    return log_likelihood_at(likelihood_index(X, counts), lam, epsilon)
-
-
 def log_likelihood(X, Z, Y, params: ModelParams) -> float:
     """log P(X | Z, Y) summed over all N x T entries.
 
@@ -222,7 +219,7 @@ def log_likelihood(X, Z, Y, params: ModelParams) -> float:
     if Z.shape[1] != Y.shape[0]:
         raise ValueError(f"Z has {Z.shape[1]} columns, Y has {Y.shape[0]} rows")
     counts = Z.astype(np.int32) @ Y.astype(np.int32)
-    return log_likelihood_from_counts(X, counts, params.lam, params.epsilon)
+    return log_likelihood_at(likelihood_index(X, counts), params.lam, params.epsilon)
 
 
 def log_prior_Y(Y, p: float) -> float:
@@ -283,15 +280,10 @@ def log_joint(X, Z, Y, params: ModelParams, prior: str = "ibp",
     log_lik, when given, is taken as ``log_likelihood(X, Z, Y, params)``,
     as a sampler that holds counts = Z @ Y computes it from them.
     """
-    # looked up at call time because perfbench/tracing.py patches
-    # ibp.log_prior_Z_ibp; a module-level import would keep the unpatched
-    # function, and ibp.log_prior.self_s would read 0
-    from .ibp import log_prior_Z_ibp
-
     ll = log_likelihood(X, Z, Y, params) if log_lik is None else log_lik
     lp_y = log_prior_Y(Y, params.p)
     if prior == "ibp":
-        lp_z = log_prior_Z_ibp(Z, params.alpha)
+        lp_z = ibp.log_prior_Z_ibp(Z, params.alpha)
     elif prior == "finite":
         lp_z = log_prior_Z_finite(Z, np.asarray(Z).shape[1], params.alpha)
     else:

@@ -223,12 +223,9 @@ def finite_theta_bar(m_minus, n_rows: int, k: int, alpha: float, predictive: boo
     return np.minimum(1.0, (m_minus + ak) / n_rows)
 
 
-def finite_conditional_z(state: FiniteState, i: int, k: int, row_idx: np.ndarray,
-                         active: np.ndarray, u: float, logit: float) -> int:
-    """Draw z[i, k] under the finite prior from the uniform u, at any m_minus,
-    0 included; the arguments are those of ``gibbs.gibbs_sample_z_entry``,
-    and a sweep calls it only where the draw flips z[i, k] or meets a NaN."""
-    return draw_z_entry(state, i, k, row_idx, active, u, logit)
+# ``_z_pass``'s entry draw at any m_minus: its logit holds the finite prior, so it is
+# ``draw_z_entry``, under a name perfbench/tracing.py counts apart from gibbs's
+finite_conditional_z = draw_z_entry
 
 
 def _z_pass(state: FiniteState, i: int, X, layout: tuple, rng: np.random.Generator) -> None:

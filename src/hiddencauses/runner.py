@@ -7,12 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import params_record
 from .gibbs import gibbs_sweep
 from .harness import PosteriorSummary, SummaryAccumulator
 from .hypers import MH_STEP, mh_step_rate, sample_alpha, sample_p
 from .ibp import harmonic_number
 from .model import (ModelParams, SamplerState, as_binary_matrix, likelihood_index, log_joint,
-                    log_likelihood_from_counts)
+                    log_likelihood_at)
 from .rjmcmc import FiniteState, ShiftedPoissonK, rjmcmc_sweep
 
 SAMPLERS = ("gibbs", "rjmcmc")
@@ -31,18 +32,16 @@ class TraceRecord:
     iteration: int
     kplus: int
     k: int
-    epsilon: float
-    lam: float
-    p: float
-    alpha: float
+    params: ModelParams
     log_joint: float
     wall_ms: float | None = None
 
     def to_dict(self) -> dict:
-        """The fields in order, lam keyed as "lambda"; wall_ms only when set."""
-        rec = {("lambda" if name == "lam" else name): v for name, v in vars(self).items()}
-        if self.wall_ms is None:
-            del rec["wall_ms"]
+        """The fields in order, params spelled as on disk; wall_ms only when set."""
+        rec = {"iteration": self.iteration, "kplus": self.kplus, "k": self.k,
+               **params_record(self.params), "log_joint": self.log_joint}
+        if self.wall_ms is not None:
+            rec["wall_ms"] = self.wall_ms
         return rec
 
 
@@ -123,11 +122,10 @@ def _trace_record(iteration, state, X, wall_ms=None, log_lik=None) -> TraceRecor
     prior = "finite" if isinstance(state, FiniteState) else "ibp"
     params = state.params
     if log_lik is None:
-        log_lik = log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
+        log_lik = log_likelihood_at(likelihood_index(X, state.counts), params.lam, params.epsilon)
     lj = log_joint(X, state.Z, state.Y, params, prior=prior, log_lik=log_lik)
-    return TraceRecord(iteration=iteration, kplus=state.kplus, k=state.k,
-                       epsilon=params.epsilon, lam=params.lam, p=params.p,
-                       alpha=params.alpha, log_joint=lj, wall_ms=wall_ms)
+    return TraceRecord(iteration=iteration, kplus=state.kplus, k=state.k, params=params,
+                       log_joint=lj, wall_ms=wall_ms)
 
 
 def step(

@@ -7,7 +7,7 @@ import pytest
 
 from hiddencauses import ModelParams, SamplerState, sample_alpha, sample_p
 from hiddencauses.hypers import RATE_NAMES, mh_step_rate
-from hiddencauses.model import log_likelihood_from_counts
+from hiddencauses.model import likelihood_index, log_likelihood_at
 
 
 class TestSampleP:
@@ -172,13 +172,13 @@ class TestMhStepRate:
         name, (eps, lam), z, x, offset, u, accepted, draws = MH_BRANCHES[branch]
         state = _scalar_state(ModelParams(epsilon=eps, lam=lam, p=0.3, alpha=1.0), z)
         X = np.array([[x]], dtype=np.int8)
-        before = log_likelihood_from_counts(X, state.counts, lam, eps)
+        before = log_likelihood_at(likelihood_index(X, state.counts), lam, eps)
         rng = _ScriptedRng(offset, u)
         value, ok, ll = mh_step_rate(name, state, X, rng, ll_cur=before if given_ll else None)
         assert (ok, rng.draws) == (accepted, draws)
         assert value == getattr(state.params, name)
         params = state.params
-        want = log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
+        want = log_likelihood_at(likelihood_index(X, state.counts), params.lam, params.epsilon)
         assert ll == want
         assert (ll == before) == (not accepted)
 
@@ -195,5 +195,6 @@ class TestMhStepRate:
             _, ok, ll = mh_step_rate(RATE_NAMES[j % 2], state, X, rng, 0.2, ll)
             hits += ok
             params = state.params
-            assert ll == log_likelihood_from_counts(X, state.counts, params.lam, params.epsilon)
+            assert ll == log_likelihood_at(likelihood_index(X, state.counts), params.lam,
+                                           params.epsilon)
         assert 0 < hits < 400

@@ -41,7 +41,8 @@ from hiddencauses.gibbs import (
 from hiddencauses.model import (
     draw_tables,
     flat_index,
-    log_likelihood_from_counts,
+    likelihood_index,
+    log_likelihood_at,
     log_pmf_noisy_or,
     log_pmf_table,
     shared_log_pmf_table,
@@ -72,7 +73,7 @@ class TestLogPmfTable:
         want = log_pmf_noisy_or(x, c, lam, epsilon)
         assert not np.isnan(got).any()
         np.testing.assert_array_equal(got, want)
-        total = log_likelihood_from_counts(x.astype(np.float64), c, lam, epsilon)
+        total = log_likelihood_at(likelihood_index(x.astype(np.float64), c), lam, epsilon)
         assert total == float(want.sum())
 
     @given(lam=lams, epsilon=epsilons, pairs=pairs, extra=extras)
@@ -132,13 +133,25 @@ class TestCachesUnderMoves:
 # ---------------------------------------------------------------------------
 
 
+def _y_row_index(state, k, X, rows):
+    """The flat index of cause k's rows on every trial, y[k, t] dropped."""
+    return flat_index(X[rows], state.counts[rows], state.k) - state.Y[k]
+
+
 def _on_prob_gather(state, k, X, rows):
     """What cause k (one or two rows) reads from the on-probability table:
     entry [b, a] for the rows' flat indices a and b, [K, a] for one row."""
     params = state.params
     table = draw_tables(params.lam, params.epsilon, params.p, state.k).on_prob
-    idx = flat_index(X[rows], state.counts[rows], state.k) - state.Y[k]
+    idx = _y_row_index(state, k, X, rows)
     return table[idx[1] if rows.size == 2 else state.k, idx[0]]
+
+
+def _summed_log_odds(state, k, X, rows):
+    """The summed path's log-odds of y[k, :] = 1, as ``resample_y_row`` reads them."""
+    params = state.params
+    tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
+    return gibbs._y_conditional_log_odds(tables, _y_row_index(state, k, X, rows))
 
 
 def _elementwise_log_weights(state, k, X, rows):
@@ -176,7 +189,7 @@ def _assert_gathers_match_elementwise(state, X):
         np.testing.assert_array_equal(got, want)
     for k in range(state.k):
         rows = state.Z[:, k].nonzero()[0]
-        got = gibbs._y_conditional_log_odds(state, k, X, rows)
+        got = _summed_log_odds(state, k, X, rows)
         want = _elementwise_log_odds(state, k, X, rows)
         np.testing.assert_array_equal(got, want)
         if 0 < rows.size <= 2:
@@ -202,7 +215,7 @@ def _assert_gathers_match_elementwise(state, X):
             want.append(np.log(np.where(X[i] == 1, on, off)).sum())
         want = np.array(want) + log_rate - log_fact
         np.testing.assert_allclose(got, want, rtol=1e-12)
-    total = log_likelihood_from_counts(X, state.counts, lam, eps)
+    total = log_likelihood_at(likelihood_index(X, state.counts), lam, eps)
     assert total == float(log_pmf_noisy_or(X, state.counts, lam, eps).sum())
 
 
@@ -686,10 +699,10 @@ class TestOnProbTable:
                 if zero_mass.any():
                     assert draw_tables(lam, eps, p, state.k).degenerate
                     with pytest.raises(DegenerateModelError):
-                        gibbs._y_conditional_log_odds(state, k, X, rows)
+                        _summed_log_odds(state, k, X, rows)
                 else:
                     np.testing.assert_array_equal(
-                        gibbs._y_conditional_log_odds(state, k, X, rows), log_odds)
+                        _summed_log_odds(state, k, X, rows), log_odds)
                 want = expit(log_odds)
                 if 0 < rows.size <= 2:
                     got = _on_prob_gather(state, k, X, rows)
@@ -780,7 +793,7 @@ def _long_state():
 def _summed_y_row(state, k, X, u):
     """A Y-row update that draws u < expit of the summed log-odds."""
     rows = state.Z[:, k].nonzero()[0]
-    new = (u < expit(gibbs._y_conditional_log_odds(state, k, X, rows))).astype(np.int8)
+    new = (u < expit(_summed_log_odds(state, k, X, rows))).astype(np.int8)
     state.counts[rows] += new - state.Y[k]
     state.Y[k] = new
 

@@ -17,6 +17,7 @@ from hiddencauses import (
     write_dataset_bundle,
 )
 from hiddencauses import experiments
+from hiddencauses.dataio import read_dataset_bundle
 from hiddencauses.harness import Dataset
 from hiddencauses.hypers import MH_STEP
 from hiddencauses.runner import _trace_record, default_k_prior, initial_state, step
@@ -284,8 +285,6 @@ class TestCliGenerate:
              "--t", "10", "--seed", "1"]
         )
         assert code == EXIT_OK
-        from hiddencauses.dataio import read_dataset_bundle
-
         data = read_dataset_bundle(bundle)
         assert data.X.shape == (4, 10)
         assert data.truth.Z.shape == (4, 2)
@@ -420,6 +419,7 @@ class TestCliFit:
         ('"iterations": 2.5', "iterations: invalid int value 2.5"),
         ('"infer_hypers": "false"', "infer_hypers must be true or false"),
         ('"sampler": "vb"', "sampler: invalid choice 'vb'"),
+        ('"seed": -1', "seed: '-1' is not an integer >= 0"),
     ])
     def test_config_value_refused_by_its_flag(self, tmp_path, capsys, setting, named):
         """Each config value passes its flag's own type and choices; a switch
@@ -571,6 +571,21 @@ class TestCliEval:
         code = main(["eval", "--summary", str(fit / "summary.json"), "--truth", str(plain)])
         assert code == EXIT_DATA
         assert "ground truth" in capsys.readouterr().err
+
+    def test_bundle_without_causes(self, tmp_path, capsys):
+        """generate --k-target 0 writes a Z.csv of blank lines and an empty
+        Y.csv; they read back as N x 0 and 0 x T, and eval scores them."""
+        bundle, fit = tmp_path / "data", tmp_path / "fit"
+        assert main(["generate", "--out", str(bundle), "--n", "3", "--k-target", "0",
+                     "--t", "20", "--seed", "1"]) == EXIT_OK
+        assert main(["fit", "--data", str(bundle), "--out", str(fit),
+                     "--iterations", "3"]) == EXIT_OK
+        truth = read_dataset_bundle(bundle).truth
+        assert truth.Z.shape == (3, 0) and truth.Y.shape == (0, 20)
+        capsys.readouterr()
+        assert main(["eval", "--summary", str(fit / "summary.json"),
+                     "--truth", str(bundle)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["k_true"] == 0
 
 
 class TestCliReplicate:
@@ -772,6 +787,9 @@ class TestCliParser:
         (["replicate", "fig3", "--k-range", ","], "--k-range"),
         (["replicate", "fig4", "--checkpoints", "0,5"], "--checkpoints"),
         (["replicate", "fig4", "--samplers", ""], "--samplers"),
+        (["fit", "--seed", "-1"], "--seed"),
+        (["generate", "--seed", "-1", "--n", "3", "--k-target", "2"], "--seed"),
+        (["replicate", "fig3", "--seed", "-1"], "--seed"),
     ])
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, argv, flag):
         """argparse refuses the value before any file is read (--data names

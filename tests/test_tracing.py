@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hiddencauses import ModelParams, runner
+from hiddencauses import ModelParams, harness, runner
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -44,8 +44,17 @@ def test_chain_layers_open_their_spans():
     tracer.timed(chains)
     opened = {name for name, *_ in tracer.spans}
     assert {"runner.chain", "gibbs.sweep", "rjmcmc.sweep", "hypers.mh_rate", "hypers.conjugate",
-            "runner.trace"} <= opened
+            "runner.trace", "ibp.log_prior"} <= opened
     assert tracer.counts["gibbs.sweep.calls"] == 3
     assert tracer.counts["rjmcmc.sweep.calls"] == 3
     assert tracer.counts["hypers.mh_rate.calls"] == 12  # lam and epsilon, every sweep
     assert tracer.counts["runner.trace.calls"] == 8  # iterations 0..3 of each chain
+
+
+def test_rejection_sampling_counts_prior_draws():
+    """The harness reaches ``ibp.sample_ibp`` through the module, so the
+    tracer's count-only patch sees every draw of the rejection loop."""
+    tracer = tracing.Tracer()
+    rng = np.random.default_rng(4)
+    tracer.timed(lambda: harness.rejection_sample_Z(4, 2, 1.0, rng))
+    assert tracer.counts["ibp.sample.calls"] >= 1
