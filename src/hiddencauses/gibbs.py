@@ -9,10 +9,17 @@ finish the sweep.
 
 Y changes only in that end-of-sweep pass and in the fresh rows a
 ``sample_new_causes`` draw appends, so a sweep builds the active layout
-of Y at its start and again after each addition.  Row i's flat table
-index is built once per row; the z flips and the singleton removal keep
-it current, and the fresh-cause weights read it through its histogram:
-2(K+1) bins, one product with the fresh-cause table.
+of Y at its start and again after each addition.
+
+A sweep builds one flat table index of every entry of X,
+``flat_index(X, counts, K)`` (``sweep_index``), and until it ends that
+index is the only record of counts = Z @ Y.  Row i's z draws read and
+move the view ``index[i]``; the fresh-cause weights read it through its
+histogram: 2(K+1) bins, one product with the fresh-cause table.  A change
+of K moves every entry by x times the change (``rebase``), and each
+activation row gathers its causes' rows of the index and scatters them
+back.  When the sweep ends, by return or by raise, it writes counts back
+from the index once.
 
 Every conditional draw is two-point: it adds the prior's log-odds to the
 entries of ``model.draw_tables(...).log_odds`` at the flat indices it
@@ -31,6 +38,7 @@ keep.  The fresh-cause draw reads the bundle's ``fresh`` rows.
 """
 
 import math
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -44,14 +52,32 @@ from .model import (FRESH_COUNTS, MAX_NEW_CAUSES, TABLE_CACHE_SIZE, DegenerateMo
 _FRESH_LOG_FACTORIALS = gammaln(FRESH_COUNTS + 1.0)
 
 
+def rebase(index: np.ndarray, X, dk: int) -> None:
+    """Move a flat index from K to K + dk columns in place: each entry
+    x (K + 1) + c becomes x (K + dk + 1) + c."""
+    index += np.multiply(X, dk, dtype=np.intp)  # an int8 X times dk could wrap
+
+
+@contextmanager
+def sweep_index(state: SamplerState, X):
+    """Yield ``flat_index(X, state.counts, state.k)``, which the sweep
+    keeps current through every change of Z, Y and K in place of counts;
+    on exit, by return or by raise, write counts = index - X (K + 1)."""
+    index = flat_index(X, state.counts, state.k)
+    try:
+        yield index
+    finally:
+        rebase(index, X, -(state.k + 1))
+        state.counts[...] = index
+
+
 def _set_z(state: SamplerState, i: int, k: int, new: int, row_idx: np.ndarray,
            active: np.ndarray) -> None:
-    """Set z[i, k] to new and move the caches with it: column_sums[k], and
-    counts[i] and row i's flat index on cause k's active trials."""
+    """Set z[i, k] to new and move column_sums[k] and row i's flat index
+    on cause k's active trials with it."""
     diff = new - int(state.Z[i, k])
     state.Z[i, k] = new
     state.column_sums[k] += diff
-    state.counts[i, active] += diff
     row_idx[active] += diff
 
 
@@ -67,7 +93,7 @@ def z_log_odds(state: SamplerState, i: int, row_idx: np.ndarray, seg: np.ndarray
     """[k]: the log-likelihood ratio of z[i, k] = 1 against z[i, k] = 0,
     from the (cause, trial) pairs (seg, cat), a suffix of ``active_layout``.
 
-    row_idx is ``flat_index(X[i], state.counts[i], state.k)``; it drops
+    row_idx is row i of the sweep index; it drops
     z[i, k] on cause k's pairs, D is read there, and ``np.bincount`` sums
     each cause's terms in trial order, one after another.  A cause with no
     pair gets 0.  NaN marks both states at zero mass."""
@@ -161,8 +187,7 @@ def _fresh_cause_log_rates(alpha: float, n: int) -> np.ndarray:
 
 def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.ndarray:
     """Unnormalized log-probabilities of k = 0..MAX_NEW_CAUSES fresh causes
-    at row i, whose flat table index ``flat_index(X[i], state.counts[i], state.k)``
-    is row_idx.
+    at row i, whose row of the sweep index is row_idx.
 
     The row's likelihood depends on its trials only through the histogram
     of their (x, count) pairs, that is of row_idx, so it is one product of
@@ -179,19 +204,19 @@ def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.nda
 
 
 def sample_new_causes(
-    state: SamplerState, i: int, X, row_idx: np.ndarray, rng: np.random.Generator,
+    state: SamplerState, i: int, X, index: np.ndarray, rng: np.random.Generator,
 ) -> int:
     """Draw how many fresh causes attach to row i and expand the state.
 
     Weights over k in 0..MAX_NEW_CAUSES combine a Poisson(alpha / N) prior with
-    the likelihood of row i after summing out the new activations; row_idx
-    is row i's flat table index (see ``_fresh_cause_log_weights``), stale
-    once a cause is added.  Each accepted cause appends a column with a
-    single 1 at row i and a zero activation row that is then
-    Gibbs-resampled once.
+    the likelihood of row i after summing out the new activations, read
+    from row i of the sweep index (see ``_fresh_cause_log_weights``).  Each
+    accepted cause appends a column with a single 1 at row i and a zero
+    activation row that is then Gibbs-resampled once; the index is rebased
+    to the new K first.
     """
     n, t = state.n_rows, state.n_trials
-    logw = _fresh_cause_log_weights(state, row_idx)
+    logw = _fresh_cause_log_weights(state, index[i])
     top = logw.max()
     if top == -math.inf:
         raise DegenerateModelError("no feasible number of fresh causes for this row")
@@ -207,8 +232,12 @@ def sample_new_causes(
             [state.column_sums, np.ones(k_new, dtype=np.int64)]
         )
         state.Y = np.concatenate([state.Y, np.zeros((k_new, t), dtype=np.int8)], axis=0)
-        for j in range(state.Y.shape[0] - k_new, state.Y.shape[0]):
-            resample_y_row(state, j, X, rng.random(t))
+        rebase(index, X, k_new)
+        params = state.params
+        tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
+        rows = np.array([i])
+        for j in range(state.k - k_new, state.k):
+            resample_y_row(state, j, rows, index, rng.random(t), tables)
     return k_new
 
 
@@ -226,20 +255,21 @@ def _y_conditional_log_odds(tables: DrawTables, idx: np.ndarray) -> np.ndarray:
     return log_odds
 
 
-def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray) -> None:
+def resample_y_row(state: SamplerState, k: int, rows: np.ndarray, index: np.ndarray,
+                   u: np.ndarray, tables: DrawTables) -> None:
     """One Gibbs pass over y[k, :], vectorized across trials, from the T
     uniforms u; the per-entry update would draw the same ones in order.
 
-    The rows linked to cause k give one flat index per (row, trial), with
-    y[k, t] dropped.  A cause linked to one or two rows gathers its
-    on-probabilities from the ``draw_tables`` entry of that pair, one per
-    trial; any other sums its rows' log-odds (``_y_conditional_log_odds``)."""
-    params = state.params
-    tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
-    rows = state.Z[:, k].nonzero()[0]
-    idx = flat_index(X[rows], state.counts[rows], state.k)
+    rows are the rows linked to cause k, at least one, and tables the
+    state's ``draw_tables``.  The rows of the sweep index give one flat
+    index per (row, trial), with y[k, t] dropped.  A cause linked to one or
+    two rows gathers its on-probabilities from the ``on_prob`` entry of
+    that pair, one per trial; any other sums its rows' log-odds
+    (``_y_conditional_log_odds``).  The new y[k] is added back and the rows
+    are scattered into the index."""
+    idx = index.take(rows, axis=0)
     idx -= state.Y[k]
-    if 0 < rows.size <= 2:
+    if rows.size <= 2:
         # a single row pairs with index K, which holds log-odds 0
         pair = (idx[1] if rows.size == 2 else state.k) * tables.on_prob.shape[0] + idx[0]
         prob = tables.on_prob.take(pair)
@@ -248,24 +278,24 @@ def resample_y_row(state: SamplerState, k: int, X, u: np.ndarray) -> None:
     else:
         prob = expit(_y_conditional_log_odds(tables, idx))
     new = u < prob
-    diff = new - state.Y[k]
-    if rows.size and diff.any():
-        state.counts[rows] += diff
+    idx += new
+    index[rows] = idx
     state.Y[k] = new
 
 
-def resample_all_y(state: SamplerState, X, rng: np.random.Generator) -> None:
+def resample_all_y(state: SamplerState, index: np.ndarray, rng: np.random.Generator) -> None:
     """Resample every activation row from one (K, T) block of uniforms,
     row k from block row k: the stream of K calls of ``rng.random(T)``.
-    Linked rows go in index order; an unlinked row draws from its prior
-    alone and moves no count, so all of them take one comparison."""
+    Linked rows go in index order, each moving its rows of the sweep
+    index; an unlinked row draws from its prior alone and moves no count,
+    so all of them take one comparison."""
     u = rng.random((state.k, state.n_trials))
+    params = state.params
+    tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
     linked = state.column_sums > 0
-    for k in linked.nonzero()[0]:
-        resample_y_row(state, k, X, u[k])
+    for k in linked.nonzero()[0].tolist():
+        resample_y_row(state, k, state.Z[:, k].nonzero()[0], index, u[k], tables)
     if not linked.all():
-        params = state.params
-        tables = draw_tables(params.lam, params.epsilon, params.p, state.k)
         unlinked = ~linked
         state.Y[unlinked] = u[unlinked] < expit(tables.prior_log_odds)
 
@@ -289,17 +319,18 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
     rows; compaction happens only at the end of the sweep.
     """
     layout = active_layout(state.Y)
-    for i in range(state.n_rows):
-        row_idx = flat_index(X[i], state.counts[i], state.k)
-        # no entry of row i moves m_minus: a flip moves z[i, k] and column_sums[k] together
-        m_minus = state.column_sums - state.Z[i]
-        shared = m_minus.nonzero()[0]
-        prior = prior_log_odds(np.true_divide, state.n_rows).take(m_minus.take(shared))
-        draw_z_row(state, i, shared, prior, row_idx, layout, rng, gibbs_sample_z_entry)
-        _, cat, starts = layout
-        for k in (state.Z[i] > m_minus).nonzero()[0].tolist():  # singletons: m_minus = 0
-            _set_z(state, i, k, 0, row_idx, cat[starts[k]:starts[k + 1]])
-        if sample_new_causes(state, i, X, row_idx, rng):
-            layout = active_layout(state.Y)
-    resample_all_y(state, X, rng)
+    with sweep_index(state, X) as index:
+        for i in range(state.n_rows):
+            row_idx = index[i]
+            # no entry of row i moves m_minus: a flip moves z[i, k] and column_sums[k] together
+            m_minus = state.column_sums - state.Z[i]
+            shared = m_minus.nonzero()[0]
+            prior = prior_log_odds(np.true_divide, state.n_rows).take(m_minus.take(shared))
+            draw_z_row(state, i, shared, prior, row_idx, layout, rng, gibbs_sample_z_entry)
+            _, cat, starts = layout
+            for k in (state.Z[i] > m_minus).nonzero()[0].tolist():  # singletons: m_minus = 0
+                _set_z(state, i, k, 0, row_idx, cat[starts[k]:starts[k + 1]])
+            if sample_new_causes(state, i, X, index, rng):
+                layout = active_layout(state.Y)
+        resample_all_y(state, index, rng)
     return compact_state(state)

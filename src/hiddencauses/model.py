@@ -231,6 +231,17 @@ def log_prior_Y(Y, p: float) -> float:
     return float(xlogy(s, p) + xlogy(total - s, 1.0 - p))
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _finite_column_log_priors(n_rows: int, k: int, alpha: float) -> np.ndarray:
+    """[m]: one column's term of ``log_prior_Z_finite_from_sums`` at column
+    sum m = 0..n_rows, built once per key, read-only."""
+    m = np.arange(n_rows + 1, dtype=np.float64)
+    ak = alpha / k
+    table = math.log(ak) + gammaln(m + ak) + gammaln(n_rows - m + 1.0) - gammaln(n_rows + 1.0 + ak)
+    table.flags.writeable = False
+    return table
+
+
 def log_prior_Z_finite_from_sums(column_sums, n_rows: int, k: int, alpha: float) -> float:
     """Finite-model column-exchangeable prior evaluated from column sums.
 
@@ -239,23 +250,17 @@ def log_prior_Z_finite_from_sums(column_sums, n_rows: int, k: int, alpha: float)
         (alpha/k) Gamma(m + alpha/k) Gamma(n - m + 1) / Gamma(n + 1 + alpha/k)
 
     where m is the column sum (the per-column Bernoulli rate has been
-    integrated out against Beta(alpha/k, 1)).
+    integrated out against Beta(alpha/k, 1)); the terms are gathered from
+    a table over m = 0..n and summed in column order.
     """
     if n_rows < 1:
         raise ValueError("need at least one row")
     if k == 0:
         return 0.0
-    m = np.asarray(column_sums, dtype=np.float64)
+    m = np.asarray(column_sums)
     if m.shape != (k,):
         raise ValueError(f"expected {k} column sums, got shape {m.shape}")
-    ak = alpha / k
-    per_col = (
-        math.log(ak)
-        + gammaln(m + ak)
-        + gammaln(n_rows - m + 1.0)
-        - gammaln(n_rows + 1.0 + ak)
-    )
-    return float(per_col.sum())
+    return float(_finite_column_log_priors(n_rows, k, alpha).take(m).sum())
 
 
 def log_prior_Z_finite(Z, k: int, alpha: float) -> float:
@@ -296,8 +301,9 @@ class SamplerState:
     """Mutable sampler state: the pair (Z, Y), parameters, and caches.
 
     ``column_sums`` holds Z's column sums and ``counts`` holds Z @ Y;
-    both are maintained incrementally by the samplers and must never be
-    mutated elsewhere.
+    both are maintained by the samplers and must never be mutated
+    elsewhere.  Inside a sweep a flat index over X and the counts stands
+    in for ``counts``, which the sweep writes back when it ends.
     """
 
     Z: np.ndarray

@@ -9,6 +9,10 @@ unbounded sampler's ``gibbs.draw_z_row``: one block of uniforms, one scan
 of the active layout built after the move, and ``finite_conditional_z``
 only where an entry flips or meets zero mass.
 
+A sweep keeps the unbounded sampler's flat index of every entry of X
+(``gibbs.sweep_index``) in place of counts = Z @ Y, and rebases it after
+an accepted birth or death.
+
 Birth appends an all-zero column of Z plus a fresh Bernoulli(p) row of Y
 and is accepted with probability
 
@@ -39,8 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .gibbs import active_layout, draw_z_entry, draw_z_row, prior_log_odds, resample_all_y
-from .model import SamplerState, flat_index, log_prior_Z_finite_from_sums
+from .gibbs import (active_layout, draw_z_entry, draw_z_row, prior_log_odds, rebase,
+                    resample_all_y, sweep_index)
+from .model import SamplerState, log_prior_Z_finite_from_sums
 
 
 # ---------------------------------------------------------------------------
@@ -228,37 +233,47 @@ def finite_theta_bar(m_minus, n_rows: int, k: int, alpha: float, predictive: boo
 finite_conditional_z = draw_z_entry
 
 
-def _z_pass(state: FiniteState, i: int, X, layout: tuple, rng: np.random.Generator) -> None:
-    """Draw every z entry of row i; layout is ``gibbs.active_layout(state.Y)``."""
+def _z_pass(state: FiniteState, i: int, row_idx: np.ndarray, layout: tuple,
+            rng: np.random.Generator) -> None:
+    """Draw every z entry of row i, whose row of the sweep index is row_idx;
+    layout is ``gibbs.active_layout(state.Y)``."""
     prior = prior_log_odds(finite_theta_bar, state.n_rows, state.k, state.params.alpha,
                            state.predictive).take(state.column_sums - state.Z[i])
-    draw_z_row(state, i, np.arange(state.k), prior, flat_index(X[i], state.counts[i], state.k),
-               layout, rng, finite_conditional_z)
+    draw_z_row(state, i, np.arange(state.k), prior, row_idx, layout, rng, finite_conditional_z)
 
 
 def finite_gibbs_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:
     """One fixed-dimension sweep: every z entry, then every activation row.
     Y is fixed until then, so the active layout is built once."""
     layout = active_layout(state.Y)
-    for i in range(state.n_rows):
-        _z_pass(state, i, X, layout, rng)
-    resample_all_y(state, X, rng)
+    with sweep_index(state, X) as index:
+        for i in range(state.n_rows):
+            _z_pass(state, i, index[i], layout, rng)
+        resample_all_y(state, index, rng)
     return state
 
 
+def _dimension_move(state: FiniteState, X, index: np.ndarray, rng: np.random.Generator) -> None:
+    """One move on a uniformly chosen column: birth if it is linked, death
+    if not.  An accepted move rebases the sweep index to the new K."""
+    k = state.k
+    k_pick = int(rng.integers(k))
+    if state.column_sums[k_pick] > 0:
+        proposed = (rng.random(state.n_trials) < state.params.p).astype(np.int8)
+        birth_acceptance(state, proposed, rng)
+    else:
+        death_acceptance(state, k_pick, rng)
+    if state.k != k:
+        rebase(index, X, state.k - k)
+
+
 def rjmcmc_sweep(state: FiniteState, X, rng: np.random.Generator) -> FiniteState:
-    """One full sweep.  Per row: one dimension move on a uniformly chosen
-    column (birth if it is linked, death if not), a Gibbs pass over the
+    """One full sweep.  Per row: one dimension move, a Gibbs pass over the
     row's Z entries, and a resample of all of Y.  Y changes after every
     row, so each row builds the active layout once, after its move."""
-    params = state.params
-    for i in range(state.n_rows):
-        k_pick = int(rng.integers(state.k))
-        if state.column_sums[k_pick] > 0:
-            proposed = (rng.random(state.n_trials) < params.p).astype(np.int8)
-            birth_acceptance(state, proposed, rng)
-        else:
-            death_acceptance(state, k_pick, rng)
-        _z_pass(state, i, X, active_layout(state.Y), rng)
-        resample_all_y(state, X, rng)
+    with sweep_index(state, X) as index:
+        for i in range(state.n_rows):
+            _dimension_move(state, X, index, rng)
+            _z_pass(state, i, index[i], active_layout(state.Y), rng)
+            resample_all_y(state, index, rng)
     return state

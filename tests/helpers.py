@@ -1,6 +1,8 @@
 """Reference code that tests compare the package against.
 
 ``check_consistency`` recomputes a state's caches from Z and Y;
+``zy_index`` builds the flat index a sweep keeps in place of the counts
+from Z and Y alone, and ``check_index`` compares a sweep's index with it;
 ``gibbs_sample_y_entry`` is the per-entry activation update that the
 vectorized ``resample_y_row`` must reproduce draw for draw.
 ``reference_z_entry`` and ``reference_resample_all_y`` are the z-entry
@@ -10,7 +12,8 @@ whole Y pass each from one block of uniforms and summed log-odds in place
 of a pair of log-likelihoods; the samplers must still match them draw for
 draw.  ``reference_z_log_odds`` is the log-odds the samplers' z kernel
 must equal bit for bit, from the elementwise kernel, summed in the
-kernel's order.
+kernel's order, at counts computed from Z and Y, so that it holds inside
+a sweep, whose counts are written back only when it ends.
 ``reference_fresh_cause_log_weights`` builds the fresh-cause weights from
 the elementwise kernel, one term per distinct (x, count) pair in the order
 of the histogram the sampler sums over.
@@ -37,9 +40,21 @@ def _two_point_draw(logw1: float, logw0: float, rng: np.random.Generator) -> int
     return 1 if rng.random() < expit(logw1 - logw0) else 0
 
 
-def row_index(state: SamplerState, i: int, X) -> np.ndarray:
-    """Row i's flat table index, the argument the z-entry draws keep."""
-    return flat_index(X[i], state.counts[i], state.k)
+def zy_counts(state: SamplerState) -> np.ndarray:
+    """Z @ Y, computed from Z and Y alone."""
+    return state.Z.astype(np.int32) @ state.Y.astype(np.int32)
+
+
+def zy_index(state: SamplerState, X) -> np.ndarray:
+    """``flat_index(X, Z @ Y, K)``: the index a sweep must hold, computed
+    from Z and Y alone; row i is the row index the z-entry draws keep."""
+    return flat_index(X, zy_counts(state), state.k)
+
+
+def check_index(state: SamplerState, X, index: np.ndarray) -> None:
+    """Assert a sweep's index and column_sums match Z and Y exactly."""
+    np.testing.assert_array_equal(state.column_sums, state.Z.sum(axis=0))
+    np.testing.assert_array_equal(index, zy_index(state, X))
 
 
 def check_consistency(state: SamplerState) -> None:
@@ -47,9 +62,7 @@ def check_consistency(state: SamplerState) -> None:
     assert state.Z.shape[1] == state.Y.shape[0]
     assert np.isin(state.Z, (0, 1)).all() and np.isin(state.Y, (0, 1)).all()
     np.testing.assert_array_equal(state.column_sums, state.Z.sum(axis=0))
-    np.testing.assert_array_equal(
-        state.counts, state.Z.astype(np.int32) @ state.Y.astype(np.int32)
-    )
+    np.testing.assert_array_equal(state.counts, zy_counts(state))
 
 
 def gibbs_sample_y_entry(state: SamplerState, k: int, t: int, X, rng: np.random.Generator) -> int:
@@ -93,12 +106,12 @@ def reference_z_log_likelihoods(state: SamplerState, i: int, k: int, X) -> list[
 
 def reference_z_log_odds(state: SamplerState, i: int, k: int, X) -> float:
     """log P(x | c + 1) - log P(x | c) from the elementwise kernel on cause
-    k's active trials, c row i's counts there without cause k, summed in
-    trial order one term after another; NaN where both states of z[i, k]
-    have zero mass."""
+    k's active trials, c row i's counts there without cause k, computed
+    from Z and Y, summed in trial order one term after another; NaN where
+    both states of z[i, k] have zero mass."""
     params = state.params
     active = state.Y[k].nonzero()[0]
-    base = state.counts[i, active] - state.Z[i, k]
+    base = zy_counts(state)[i, active] - state.Z[i, k]
     x = X[i, active]
     with np.errstate(invalid="ignore"):
         terms = (log_pmf_noisy_or(x, base + 1, params.lam, params.epsilon)

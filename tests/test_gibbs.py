@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from helpers import check_consistency, gibbs_sample_y_entry, reference_z_log_odds, row_index
+from helpers import (check_consistency, check_index, gibbs_sample_y_entry, reference_z_log_odds,
+                     zy_index)
 from hiddencauses import (
     DegenerateModelError,
     ModelParams,
@@ -24,8 +25,9 @@ from hiddencauses.gibbs import (
     resample_all_y,
     resample_y_row,
     sample_new_causes,
+    sweep_index,
 )
-from hiddencauses.model import log_pmf_noisy_or, log_pmf_table
+from hiddencauses.model import draw_tables, log_pmf_noisy_or, log_pmf_table
 
 PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=1.0)
 
@@ -48,11 +50,12 @@ class TestZEntryConditional:
 
     def _frequency(self, state, X, n_draws=20_000, seed=0):
         rng = np.random.default_rng(seed)
-        row_idx = row_index(state, 0, X)  # each flip updates it
         active = state.Y[0].nonzero()[0]
-        hits = sum(gibbs_sample_z_entry(state, 0, 0, row_idx, active, rng.random(),
-                                        PRIOR_LOG_ODDS + reference_z_log_odds(state, 0, 0, X))
-                   for _ in range(n_draws))
+        with sweep_index(state, X) as index:  # each flip moves row 0 of it
+            hits = sum(gibbs_sample_z_entry(state, 0, 0, index[0], active, rng.random(),
+                                            PRIOR_LOG_ODDS + reference_z_log_odds(state, 0, 0, X))
+                       for _ in range(n_draws))
+            check_index(state, X, index)
         check_consistency(state)
         return hits / n_draws
 
@@ -84,7 +87,7 @@ class TestZEntryConditional:
         Y = np.array([[1, 0]], dtype=np.int8)
         state = SamplerState.from_matrices(Z, Y, PARAMS)
         X = np.zeros((2, 2), dtype=np.int8)
-        row_idx, active = row_index(state, 0, X), state.Y[0].nonzero()[0]
+        row_idx, active = zy_index(state, X)[0], state.Y[0].nonzero()[0]
         with pytest.raises(ValueError):
             gibbs_sample_z_entry(state, 0, 0, row_idx, active, 0.5, 0.0)
 
@@ -138,7 +141,10 @@ class TestRowResampleEquivalence:
         X = (rng_setup.random((4, 7)) < 0.5).astype(np.int8)
         a = SamplerState.from_matrices(Z, Y, PARAMS)
         b = copy.deepcopy(a)
-        resample_y_row(a, 0, X, np.random.default_rng(7).random(7))
+        with sweep_index(a, X) as index:
+            resample_y_row(a, 0, a.Z[:, 0].nonzero()[0], index, np.random.default_rng(7).random(7),
+                           draw_tables(PARAMS.lam, PARAMS.epsilon, PARAMS.p, a.k))
+            check_index(a, X, index)
         rng_b = np.random.default_rng(7)
         for t in range(7):
             gibbs_sample_y_entry(b, 0, t, X, rng_b)
@@ -208,7 +214,7 @@ class TestSampleNewCauses:
             state = SamplerState.from_matrices(
                 np.zeros((1, 0), dtype=np.int8), np.zeros((0, 1), dtype=np.int8), params
             )
-            tally[sample_new_causes(state, 0, X, row_index(state, 0, X), rng)] += 1
+            tally[sample_new_causes(state, 0, X, zy_index(state, X), rng)] += 1
         got = tally / n_draws
         sigma = np.sqrt(want * (1 - want) / n_draws)
         assert (np.abs(got - want) < 4 * sigma + 1e-4).all()
@@ -221,7 +227,9 @@ class TestSampleNewCauses:
             state = SamplerState.from_matrices(
                 np.zeros((2, 0), dtype=np.int8), np.zeros((0, 3), dtype=np.int8), params
             )
-            k_new = sample_new_causes(state, 1, X, row_index(state, 1, X), rng)
+            with sweep_index(state, X) as index:
+                k_new = sample_new_causes(state, 1, X, index, rng)
+                check_index(state, X, index)
             assert state.k == k_new
             assert k_new <= MAX_NEW_CAUSES
             if k_new:
@@ -237,7 +245,7 @@ class TestSampleNewCauses:
         )
         X = np.array([[1]], dtype=np.int8)
         with pytest.raises(DegenerateModelError):
-            sample_new_causes(state, 0, X, row_index(state, 0, X), np.random.default_rng(0))
+            sample_new_causes(state, 0, X, zy_index(state, X), np.random.default_rng(0))
 
 
 class TestCompaction:
@@ -335,5 +343,6 @@ class TestGibbsSweep:
         Y = np.zeros((3, 4), dtype=np.int8)
         X = np.ones((2, 4), dtype=np.int8)
         state = SamplerState.from_matrices(Z, Y, PARAMS)
-        resample_all_y(state, X, rng)
+        with sweep_index(state, X) as index:
+            resample_all_y(state, index, rng)
         check_consistency(state)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from helpers import check_consistency
 from hiddencauses import (
@@ -16,6 +17,7 @@ from hiddencauses import (
     log_prior_Z_ibp,
 )
 from hiddencauses.model import (
+    _finite_column_log_priors,
     as_binary_matrix,
     log_pmf_noisy_or,
     log_prior_Y,
@@ -222,6 +224,24 @@ class TestFinitePriorZ:
 
     def test_k_zero_from_sums(self):
         assert log_prior_Z_finite_from_sums(np.zeros(0), 2, 0, 1.0) == 0.0
+
+    def test_table_gather_equals_per_column_expression(self):
+        """Bit for bit, the sums gathered from the cached column table equal
+        the per-column gammaln expression summed in column order, and the
+        table is shared and read-only."""
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n, k = int(rng.integers(1, 97)), int(rng.integers(1, 40))
+            alpha = float(rng.choice([rng.uniform(0.01, 10.0), 0.5, 1.0, 2.0]))
+            sums = rng.integers(0, n + 1, size=k)
+            m, ak = sums.astype(np.float64), alpha / k
+            per_col = (math.log(ak) + gammaln(m + ak) + gammaln(n - m + 1.0)
+                       - gammaln(n + 1.0 + ak))
+            assert log_prior_Z_finite_from_sums(sums, n, k, alpha) == float(per_col.sum())
+        table = _finite_column_log_priors(4, 2, 1.5)
+        assert table is _finite_column_log_priors(4, 2, 1.5)
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 class TestLogJoint:

@@ -15,17 +15,20 @@ from scipy.special import expit, gammaln, xlogy
 
 from helpers import (
     check_consistency,
+    check_index,
     reference_fresh_cause_log_weights,
     reference_resample_all_y,
     reference_z_entry,
     reference_z_log_odds,
-    row_index,
+    zy_counts,
+    zy_index,
 )
 from hiddencauses import (
     DegenerateModelError,
     FiniteState,
     ModelParams,
     SamplerState,
+    UniformK,
     log_prior_Z_ibp,
     marginal_on_prob,
 )
@@ -34,9 +37,11 @@ from hiddencauses.gibbs import (
     MAX_NEW_CAUSES,
     compact_state,
     gibbs_sample_z_entry,
+    rebase,
     resample_all_y,
     resample_y_row,
     sample_new_causes,
+    sweep_index,
 )
 from hiddencauses.model import (
     draw_tables,
@@ -93,6 +98,35 @@ MOVES = st.lists(
 )
 
 
+def _apply_move(state, X, index, move, i, k, rng):
+    """Apply one move of a random sequence to state and its sweep index:
+    a z entry, a fresh-cause draw, an activation row (all rows at once
+    when cause k is unlinked), or a birth or death, whose acceptance
+    rebases the index to the new K as a sweep does."""
+    t = state.n_trials
+    if move == "z":
+        logit = _log_odds(_theta_bar(state, i, k)) + reference_z_log_odds(state, i, k, X)
+        shared = state.column_sums[k] - state.Z[i, k] > 0
+        (gibbs_sample_z_entry if shared else finite_conditional_z)(
+            state, i, k, index[i], state.Y[k].nonzero()[0], rng.random(), logit)
+    elif move == "fresh":
+        sample_new_causes(state, i, X, index, rng)
+    elif move == "y":
+        rows = state.Z[:, k].nonzero()[0]
+        if rows.size:
+            params = state.params
+            resample_y_row(state, k, rows, index, rng.random(t),
+                           draw_tables(params.lam, params.epsilon, params.p, state.k))
+        else:
+            resample_all_y(state, index, rng)
+    elif move == "birth" and state.column_sums[k] > 0:
+        if birth_acceptance(state, (rng.random(t) < state.params.p).astype(np.int8), rng)[1]:
+            rebase(index, X, 1)
+    elif move == "death" and state.column_sums[k] == 0:
+        if death_acceptance(state, k, rng)[1]:
+            rebase(index, X, -1)
+
+
 class TestCachesUnderMoves:
     @given(
         X=arrays(np.int8, st.tuples(st.integers(1, 5), st.integers(1, 6)),
@@ -107,25 +141,11 @@ class TestCachesUnderMoves:
         state = FiniteState.from_matrices(
             np.zeros((n, 1), dtype=np.int8), np.zeros((1, t), dtype=np.int8), params
         )
-        for move, a, b in moves:
-            i, k = a % n, b % state.k
-            if move == "z":
-                logit = _log_odds(_theta_bar(state, i, k)) + reference_z_log_odds(state, i, k, X)
-                entry = (state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0],
-                         rng.random(), logit)
-                if state.column_sums[k] - state.Z[i, k] > 0:
-                    gibbs_sample_z_entry(*entry)
-                else:
-                    finite_conditional_z(*entry)
-            elif move == "fresh":
-                sample_new_causes(state, i, X, row_index(state, i, X), rng)
-            elif move == "y":
-                resample_y_row(state, k, X, rng.random(t))
-            elif move == "birth" and state.column_sums[k] > 0:
-                birth_acceptance(state, (rng.random(t) < params.p).astype(np.int8), rng)
-            elif move == "death" and state.column_sums[k] == 0:
-                death_acceptance(state, k, rng)
-            check_consistency(state)
+        with sweep_index(state, X) as index:
+            for move, a, b in moves:
+                _apply_move(state, X, index, move, a % n, b % state.k, rng)
+                check_index(state, X, index)
+        check_consistency(state)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +204,7 @@ def _assert_gathers_match_elementwise(state, X):
     n = state.n_rows
     seg, cat, _ = gibbs.active_layout(state.Y)
     for i in range(n):
-        got = gibbs.z_log_odds(state, i, row_index(state, i, X), seg, cat)
+        got = gibbs.z_log_odds(state, i, zy_index(state, X)[i], seg, cat)
         want = [reference_z_log_odds(state, i, k, X) for k in range(state.k)]
         np.testing.assert_array_equal(got, want)
     for k in range(state.k):
@@ -197,13 +217,13 @@ def _assert_gathers_match_elementwise(state, X):
     ks = np.arange(MAX_NEW_CAUSES + 1)
     log_rate, log_fact = xlogy(ks, params.alpha / n), gammaln(ks + 1.0)
     for i in range(n):
-        got = gibbs._fresh_cause_log_weights(state, row_index(state, i, X))
+        got = gibbs._fresh_cause_log_weights(state, zy_index(state, X)[i])
         np.testing.assert_array_equal(
             got, reference_fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
         )
         # the prior's terms, cached per (alpha, N), add as the uncached expression did
         fresh = draw_tables(lam, eps, params.p, state.k).fresh
-        hist = np.bincount(row_index(state, i, X), minlength=fresh.shape[1])
+        hist = np.bincount(zy_index(state, X)[i], minlength=fresh.shape[1])
         seen = hist.nonzero()[0]
         loglik = (fresh.T[seen] * hist[seen, None]).sum(axis=0)
         assert got.tobytes() == (loglik + log_rate - log_fact).tobytes()
@@ -253,20 +273,13 @@ class TestSharedTables:
             lam, eps, p = pool[j % len(pool)]
             state.params = state.params.replace(lam=lam, epsilon=eps, p=p)
             i, k = a % n, b % state.k
-            if move == "fresh":
-                sample_new_causes(state, i, X, row_index(state, i, X), rng)
-            elif move == "birth" and state.column_sums[k] > 0:
-                birth_acceptance(state, (rng.random(t) < p).astype(np.int8), rng)
-            elif move == "death" and state.column_sums[k] == 0:
-                death_acceptance(state, k, rng)
-            elif move == "compact" and state.kplus:
-                compact_state(state)
-            elif move == "z":
-                logit = _log_odds(_theta_bar(state, i, k)) + reference_z_log_odds(state, i, k, X)
-                finite_conditional_z(state, i, k, row_index(state, i, X), state.Y[k].nonzero()[0],
-                                     rng.random(), logit)
-            elif move == "y":
-                resample_y_row(state, k, X, rng.random(t))
+            if move == "compact":
+                if state.kplus:
+                    compact_state(state)  # as a gibbs sweep does, after its index is written back
+            else:
+                with sweep_index(state, X) as index:
+                    _apply_move(state, X, index, move, i, k, rng)
+                    check_index(state, X, index)
             _assert_gathers_match_elementwise(state, X)
 
     def test_shared_tables_are_read_only(self):
@@ -314,8 +327,8 @@ def matrices(draw, min_k=0, shared=False):
     return Z, Y, X, params
 
 
-def _assert_same_state(a, b):
-    for name in ("Z", "Y", "counts", "column_sums"):
+def _assert_same_state(a, b, names=("Z", "Y", "counts", "column_sums")):
+    for name in names:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
@@ -335,41 +348,46 @@ def _theta_bar(state, i, k):
 
 
 def _reference_passes(X, entries):
-    """Patches that run the sweeps on per-entry z rows, the reference Y
-    loop, and the fresh-cause draw on an index built from the counts.
+    """Patches that run the sweeps on per-entry z rows and the reference Y
+    loop.  Both read and move counts, which they take from Z and Y; the
+    rows of the sweep index they moved are then rebuilt from those counts.
     A z row draws each entry the sweep names through ``reference_z_entry``,
-    one ``rng.random()`` each, at its sampler's prior weight, and leaves
-    the row's index built from the counts; entries gets (i, k, old, new)
-    per entry."""
-    real_fresh = gibbs.sample_new_causes
+    one ``rng.random()`` each, at its sampler's prior weight; entries gets
+    (i, k, old, new) per entry."""
 
     def row(state, i, cols, prior, row_idx, layout, rng, entry):
+        state.counts[...] = zy_counts(state)
         for k in cols.tolist():
             old = int(state.Z[i, k])
             entries.append((i, k, old, reference_z_entry(state, i, k, X, rng,
                                                          _theta_bar(state, i, k))))
-        row_idx[:] = row_index(state, i, X)
+        row_idx[:] = flat_index(X[i], state.counts[i], state.k)
 
-    def fresh(state, i, X, row_idx, rng):
-        return real_fresh(state, i, X, row_index(state, i, X), rng)
+    def y_pass(state, index, rng):
+        state.counts[...] = zy_counts(state)
+        reference_resample_all_y(state, X, rng)
+        index[...] = flat_index(X, state.counts, state.k)
 
     return [mock.patch.object(module, name, patch) for module in (gibbs, rjmcmc)
-            for name, patch in (("draw_z_row", row), ("resample_all_y", reference_resample_all_y))
-            ] + [mock.patch.object(gibbs, "sample_new_causes", fresh)]
+            for name, patch in (("draw_z_row", row), ("resample_all_y", y_pass))]
 
 
 def _checked_passes(X, entries, flips):
     """Patches that assert, at every z row, that the sweep hands over its
     sampler's columns (the shared ones of a gibbs row, all of a finite
     one), the prior's log-odds at each, the active layout of the current
-    Y and the row's index built from the counts; at every call of an entry
-    function, that the active trials handed over are cause k's and the
-    logit, bit for bit, the row's prior at k plus the reference sum of
-    ``reference_z_log_odds``, and after it, at the end of the
-    row and at every fresh-cause draw, that the row's index equals one
-    built from the counts.  entries gets (i, k, old, new) per entry of
-    every row that ends, flips the same per entry call."""
+    Y and the row's index built from Z and Y (``zy_index``); at every call
+    of an entry function, that the active trials handed over are cause k's
+    and the logit, bit for bit, the row's prior at k plus the reference
+    sum of ``reference_z_log_odds``, and after it and at the end of the
+    row, that the row's index equals one built from Z and Y; before and
+    after every fresh-cause draw, rjmcmc dimension move and activation
+    row, that the whole sweep index does (``check_index``), and that an
+    activation row gets its cause's rows and the state's tables.  entries
+    gets (i, k, old, new) per entry of every row that ends, flips the same
+    per entry call."""
     real_row, real_fresh = gibbs.draw_z_row, gibbs.sample_new_causes
+    real_y_row, real_move = gibbs.resample_y_row, rjmcmc._dimension_move
     real_gibbs, real_finite = gibbs.gibbs_sample_z_entry, rjmcmc.finite_conditional_z
     row_prior = {}  # column -> the prior's log-odds handed to the current row
 
@@ -381,12 +399,12 @@ def _checked_passes(X, entries, flips):
         assert prior.tobytes() == _log_odds(theta).tobytes()
         for got, want in zip(layout, gibbs.active_layout(state.Y)):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        np.testing.assert_array_equal(row_idx, zy_index(state, X)[i])
         old = state.Z[i, cols].tolist()
         row_prior.clear()
         row_prior.update(zip(cols.tolist(), prior.tolist()))
         real_row(state, i, cols, prior, row_idx, layout, rng, entry)
-        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        np.testing.assert_array_equal(row_idx, zy_index(state, X)[i])
         entries.extend(zip([i] * len(old), cols.tolist(), old, state.Z[i, cols].tolist()))
 
     def checked(draw, state, i, k, row_idx, active, logit):
@@ -394,7 +412,7 @@ def _checked_passes(X, entries, flips):
         np.testing.assert_array_equal(logit, row_prior[k] + reference_z_log_odds(state, i, k, X))
         old = int(state.Z[i, k])
         new = draw()
-        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        np.testing.assert_array_equal(row_idx, zy_index(state, X)[i])
         flips.append((i, k, old, new))
         return new
 
@@ -406,15 +424,32 @@ def _checked_passes(X, entries, flips):
         return checked(lambda: real_finite(state, i, k, row_idx, active, u, logit),
                        state, i, k, row_idx, active, logit)
 
-    def fresh(state, i, X, row_idx, rng):
-        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
-        return real_fresh(state, i, X, row_idx, rng)
+    def fresh(state, i, X, index, rng):
+        check_index(state, X, index)
+        k_new = real_fresh(state, i, X, index, rng)
+        check_index(state, X, index)
+        return k_new
+
+    def y_row(state, k, rows, index, u, tables):
+        params = state.params
+        np.testing.assert_array_equal(rows, state.Z[:, k].nonzero()[0])
+        assert tables is draw_tables(params.lam, params.epsilon, params.p, state.k)
+        check_index(state, X, index)
+        real_y_row(state, k, rows, index, u, tables)
+        check_index(state, X, index)
+
+    def move(state, X, index, rng):
+        check_index(state, X, index)
+        real_move(state, X, index, rng)
+        check_index(state, X, index)
 
     return [mock.patch.object(gibbs, "draw_z_row", row),
             mock.patch.object(rjmcmc, "draw_z_row", row),
             mock.patch.object(gibbs, "gibbs_sample_z_entry", gibbs_entry),
             mock.patch.object(rjmcmc, "finite_conditional_z", finite_entry),
-            mock.patch.object(gibbs, "sample_new_causes", fresh)]
+            mock.patch.object(gibbs, "sample_new_causes", fresh),
+            mock.patch.object(gibbs, "resample_y_row", y_row),
+            mock.patch.object(rjmcmc, "_dimension_move", move)]
 
 
 def _run(sweep, state, X, seed, patches, sweeps=1):
@@ -439,9 +474,9 @@ def _row_matches_reference(state, ref, i, X, prior, entry, thetas, rng, ref_rng)
     log-odds prior and entry function entry, and of ref entry by entry
     through ``reference_z_entry`` at prior weights thetas; assert the same
     flips in order, the same raise and the same state, and without a raise
-    the same stream position and an index built from the counts.  Returns
+    the same stream position and a row index built from Z and Y.  Returns
     whether the row raised."""
-    row_idx, flips, ref_flips = row_index(state, i, X), [], []
+    row_idx, flips, ref_flips = zy_index(state, X)[i], [], []
 
     def record(state, i, k, row_idx, active, u, logit):
         old = int(state.Z[i, k])
@@ -463,10 +498,10 @@ def _row_matches_reference(state, ref, i, X, prior, entry, thetas, rng, ref_rng)
         ref_raised = True
     assert raised == ref_raised
     assert flips == _flips(ref_flips)
-    _assert_same_state(state, ref)
+    _assert_same_state(state, ref, ("Z", "Y", "column_sums"))  # the row moves no counts
     if not raised:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        np.testing.assert_array_equal(row_idx, row_index(state, i, X))
+        np.testing.assert_array_equal(row_idx, zy_index(state, X)[i])
     return raised
 
 
@@ -506,7 +541,7 @@ class TestRowKernel:
             np.testing.assert_array_equal(cat[starts[k]:starts[k + 1]], state.Y[k].nonzero()[0])
             np.testing.assert_array_equal(seg[starts[k]:starts[k + 1]], k)
         b = starts[start]
-        got = gibbs.z_log_odds(state, i, row_index(state, i, X), seg[b:], cat[b:])
+        got = gibbs.z_log_odds(state, i, zy_index(state, X)[i], seg[b:], cat[b:])
         want = [0.0] * start + [reference_z_log_odds(state, i, k, X)
                                 for k in range(start, state.k)]
         np.testing.assert_array_equal(got, want)
@@ -520,7 +555,8 @@ class TestPassesMatchReference:
         ref = SamplerState.from_matrices(Z, Y, params)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         try:
-            resample_all_y(state, X, rng)
+            with sweep_index(state, X) as index:
+                resample_all_y(state, index, rng)
         except DegenerateModelError:
             # the same linked row raises; unlinked rows are set only after
             # every linked row has been drawn
@@ -668,6 +704,54 @@ class TestPassesMatchReference:
             assert entries == flips == []
             np.testing.assert_array_equal(state.Z[:, :2], Z)
 
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_raise_mid_sweep_writes_counts_back(self, sweep):
+        """Row 0's z[0, 0] must flip (x = 1 with no cause and no leak), which
+        moves the sweep index.  Cause 0 then links row 1, which meets x = 1
+        and x = 0 at count 0 on its trials with lam = 1: both states at zero
+        mass.  Row 1's z draw raises, or first, in rjmcmc, the Y pass after
+        row 0 does (a prior on K = 1 alone refuses every birth).  The
+        counts the sweep leaves equal Z @ Y, flip included."""
+        Z = np.array([[0], [1]], dtype=np.int8)
+        Y = np.array([[1, 1]], dtype=np.int8)
+        X = np.array([[1, 1], [1, 0]], dtype=np.int8)
+        params = ModelParams(epsilon=0.0, lam=1.0, p=0.3, alpha=1.5)
+        cls, run = SWEEPS[sweep]
+        fields = {"k_prior": UniformK(1)} if cls is FiniteState else {}
+        for seed in range(5):
+            state = cls.from_matrices(Z, Y, params, **fields)
+            before = state.counts.copy()
+            with pytest.raises(DegenerateModelError):
+                run(state, X, np.random.default_rng(seed))
+            assert state.Z[0, 0] == 1
+            assert not np.array_equal(state.counts, before)
+            check_consistency(state)
+
+    @pytest.mark.parametrize("sweep", ["gibbs", "rjmcmc"])
+    def test_sweep_past_int8_columns_matches_reference(self, sweep):
+        """At K = 130 an int8 X times K + 1 no longer fits in int8, so the
+        index, each rebase and the write-back, which a gibbs sweep makes
+        before it compacts, must go through intp: one sweep still matches
+        the reference passes, flip for flip, with the same state and
+        stream position."""
+        rng = np.random.default_rng(130)
+        Z = (rng.random((6, 130)) < 0.3).astype(np.int8)
+        Z[:2] = 1  # every column shared, so each row draws them all
+        Y = (rng.random((130, 20)) < 0.05).astype(np.int8)
+        X = (rng.random((6, 20)) < 0.6).astype(np.int8)
+        params = ModelParams(epsilon=0.05, lam=0.3, p=0.05, alpha=2.0)
+        cls, run = SWEEPS[sweep]
+        state = cls.from_matrices(Z, Y, params)
+        ref = cls.from_matrices(Z, Y, params)
+        entries, flips, ref_entries = [], [], []
+        got = _run(run, state, X, 5, _checked_passes(X, entries, flips))
+        want = _run(run, ref, X, 5, _reference_passes(X, ref_entries))
+        assert got is not None and got == want
+        assert entries == ref_entries
+        assert flips and flips == _flips(ref_entries)
+        _assert_same_state(state, ref)
+        check_consistency(state)
+
 
 # ---------------------------------------------------------------------------
 # the on-probability table of causes that link one or two rows
@@ -754,20 +838,20 @@ class TestFreshCauseBoundaries:
             extra = xlogy(ks, 1.0 - lam * p)
             for i in range(X.shape[0]):
                 state = SamplerState.from_matrices(Z, Y, params)
-                row_idx = row_index(state, i, X)
-                got = gibbs._fresh_cause_log_weights(state, row_idx)
+                got = gibbs._fresh_cause_log_weights(state, zy_index(state, X)[i])
                 per_trial = log_pmf_noisy_or(
                     X[i][:, None], state.counts[i][:, None], lam, eps, extra
                 )
                 zero_mass = np.isneginf(per_trial.sum(axis=0))
                 assert not np.isnan(got).any()
                 np.testing.assert_array_equal(np.isneginf(got), zero_mass)
-                if zero_mass.all():
-                    with pytest.raises(DegenerateModelError):
-                        sample_new_causes(state, i, X, row_idx, np.random.default_rng(0))
-                else:
-                    sample_new_causes(state, i, X, row_idx, np.random.default_rng(0))
-                    check_consistency(state)
+                with sweep_index(state, X) as index:
+                    if zero_mass.all():
+                        with pytest.raises(DegenerateModelError):
+                            sample_new_causes(state, i, X, index, np.random.default_rng(0))
+                    else:
+                        sample_new_causes(state, i, X, index, np.random.default_rng(0))
+                check_consistency(state)
 
 
 # ---------------------------------------------------------------------------
@@ -790,11 +874,11 @@ def _long_state():
     return SamplerState.from_matrices(Z, Y, LONG_PARAMS), X
 
 
-def _summed_y_row(state, k, X, u):
+def _summed_y_row(state, k, rows, index, u, tables):
     """A Y-row update that draws u < expit of the summed log-odds."""
-    rows = state.Z[:, k].nonzero()[0]
-    new = (u < expit(_summed_log_odds(state, k, X, rows))).astype(np.int8)
-    state.counts[rows] += new - state.Y[k]
+    idx = index[rows] - state.Y[k]
+    new = u < expit(gibbs._y_conditional_log_odds(tables, idx))
+    index[rows] = idx + new
     state.Y[k] = new
 
 
@@ -803,7 +887,8 @@ class TestLongRows:
         state, X = _long_state()
         ref, _ = _long_state()
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        resample_all_y(state, X, rng)
+        with sweep_index(state, X) as index:
+            resample_all_y(state, index, rng)
         reference_resample_all_y(ref, X, ref_rng)
         _assert_same_state(state, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -815,9 +900,11 @@ class TestLongRows:
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
         added = 0
         for i in range(state.n_rows):
-            added += sample_new_causes(state, i, X, row_index(state, i, X), rng)
-            with mock.patch.object(gibbs, "resample_y_row", _summed_y_row):
-                sample_new_causes(ref, i, X, row_index(ref, i, X), ref_rng)
+            with sweep_index(state, X) as index:
+                added += sample_new_causes(state, i, X, index, rng)
+            with mock.patch.object(gibbs, "resample_y_row", _summed_y_row), \
+                    sweep_index(ref, X) as ref_index:
+                sample_new_causes(ref, i, X, ref_index, ref_rng)
             _assert_same_state(state, ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert added > 0

@@ -11,7 +11,7 @@ from helpers import check_consistency
 from hiddencauses import (FiniteState, ModelParams, UniformK, finite_gibbs_sweep,
                           log_prior_Z_finite, rjmcmc_sweep)
 from hiddencauses import rjmcmc
-from hiddencauses.gibbs import active_layout
+from hiddencauses.gibbs import active_layout, sweep_index
 from hiddencauses.rjmcmc import (
     GeometricK,
     ShiftedPoissonK,
@@ -121,9 +121,10 @@ class TestFiniteThetaBar:
         rng = np.random.default_rng(6)
         n_draws = 20_000
         hits = 0
-        for _ in range(n_draws):
-            rjmcmc._z_pass(state, 0, X, active_layout(state.Y), rng)
-            hits += int(state.Z[0, 0])
+        with sweep_index(state, X) as index:
+            for _ in range(n_draws):
+                rjmcmc._z_pass(state, 0, index[0], active_layout(state.Y), rng)
+                hits += int(state.Z[0, 0])
         check_consistency(state)
         want = 0.81 / (0.81 + 0.15)
         assert abs(hits / n_draws - want) < 4 * math.sqrt(want * (1 - want) / n_draws)
