@@ -15,17 +15,17 @@ lam and epsilon have no conjugate form: each gets a uniform proposal on
 with the likelihood ratio (the flat prior cancels).  The likelihood
 depends on (Z, Y) only through ``state.counts``, which neither step
 changes, so each step hands on the log-likelihood at the parameters it
-leaves: one iteration of ``runner.step`` builds the entries' table index
-once, evaluates the likelihood once at the current (lam, epsilon) after
-the sweep and once per in-range proposal, and the trace reads the
-carried value instead of recomputing Z @ Y.
+leaves: one iteration of ``runner.step`` builds the sweeps' flat index
+``flat_index(X, counts, K)`` once, evaluates the likelihood at it once at
+the current (lam, epsilon) after the sweep and once per in-range
+proposal, and the trace reads the carried value, never Z @ Y.
 """
 
 import math
 
 import numpy as np
 
-from .model import SamplerState, likelihood_index, log_likelihood_at
+from .model import SamplerState, flat_index, log_likelihood_at
 from .ibp import harmonic_number
 
 RATE_NAMES = ("lam", "epsilon")
@@ -49,30 +49,30 @@ def sample_alpha(kplus: int, n_rows: int, rng: np.random.Generator) -> float:
 
 def mh_step_rate(
     name: str, state: SamplerState, X, rng: np.random.Generator, step_size: float = MH_STEP,
-    ll_cur: float | None = None, index: tuple[int, np.ndarray] | None = None,
+    ll_cur: float | None = None, index: np.ndarray | None = None,
 ) -> tuple[float, bool, float]:
     """One Metropolis step on params.lam or params.epsilon.
 
     Mutates state.params on acceptance.  Returns (current value, accepted,
     ll), where ll is the log-likelihood over ``state.counts`` at the
     parameters the state holds after the step.  ll_cur is that value before
-    the step and index is ``likelihood_index(X, state.counts)``, each
+    the step and index is ``flat_index(X, state.counts, state.k)``, each
     computed here when not given.  Proposals outside (0, 1) are rejected
     without a likelihood or an acceptance draw.
     """
     if name not in RATE_NAMES:
         raise ValueError(f"name must be one of {RATE_NAMES}, got {name!r}")
-    params = state.params
+    params, k = state.params, state.k
     if index is None:
-        index = likelihood_index(X, state.counts)
+        index = flat_index(X, state.counts, k)
     if ll_cur is None:
-        ll_cur = log_likelihood_at(index, params.lam, params.epsilon)
+        ll_cur = log_likelihood_at(index, k, params.lam, params.epsilon)
     current = getattr(params, name)
     proposal = current + rng.uniform(-step_size, step_size)
     if not 0.0 < proposal < 1.0:
         return current, False, ll_cur
     lam, eps = (proposal, params.epsilon) if name == "lam" else (params.lam, proposal)
-    ll_new = log_likelihood_at(index, lam, eps)
+    ll_new = log_likelihood_at(index, k, lam, eps)
     if ll_new == -math.inf:
         return current, False, ll_cur
     u = rng.random()

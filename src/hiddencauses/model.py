@@ -21,8 +21,8 @@ entry only through the pair (x, count).  ``log_pmf_noisy_or`` is the one
 kernel that computes log P(x | count); ``log_pmf_table`` evaluates it on
 every (x, count) pair up to a cap.  ``shared_log_pmf_table`` builds that
 table once per (lam, epsilon, cap) and hands out the same read-only
-array, and the MH step and the trace gather their likelihood terms from
-it by flat index x (cap + 1) + count (``likelihood_index``).
+array; every reader gathers from it at cap K by the flat index
+x (K + 1) + count that each sweep keeps (``flat_index``).
 ``draw_tables`` builds, once per (lam, epsilon, p, K), what the
 conditional draws of both samplers read: the log-odds table
 D[x, c] = L[x, c + 1] - L[x, c] of that table at cap K, the prior's
@@ -58,7 +58,7 @@ class ModelParams:
     epsilon : baseline (leak) probability that an observation is on, in [0, 1)
     lam     : transmission probability of an active linked cause, in [0, 1]
     p       : prior activation probability of a cause per trial, in [0, 1]
-    alpha   : expected-structure intensity of the prior over Z, > 0
+    alpha   : expected-structure intensity of the prior over Z, in (0, inf)
     """
 
     epsilon: float
@@ -73,8 +73,8 @@ class ModelParams:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     def replace(self, **changes) -> "ModelParams":
         import dataclasses
@@ -187,30 +187,21 @@ def flat_index(x, counts, c_max: int) -> np.ndarray:
     return idx
 
 
-def likelihood_index(X, counts) -> tuple[int, np.ndarray]:
-    """(c_max, idx): the largest count and the flat index of every entry
-    into the table at that cap, all a likelihood over counts = Z @ Y
-    gathers; one index serves every (lam, epsilon)."""
-    counts = np.asarray(counts)
-    c_max = int(counts.max(initial=0))
-    return c_max, flat_index(np.asarray(X) == 1, counts, c_max)  # as log_pmf_noisy_or reads x
-
-
-def log_likelihood_at(index: tuple[int, np.ndarray], lam: float, epsilon: float) -> float:
-    """Total log-likelihood at the entries of ``likelihood_index``."""
-    c_max, idx = index
-    return float(shared_log_pmf_table(lam, epsilon, c_max).ravel().take(idx).sum())
+def log_likelihood_at(index: np.ndarray, k: int, lam: float, epsilon: float) -> float:
+    """Total log-likelihood at ``index = flat_index(X, counts, k)``, the
+    index a sweep keeps; every count is at most K = k."""
+    return float(shared_log_pmf_table(lam, epsilon, k).ravel().take(index).sum())
 
 
 def log_likelihood(X, Z, Y, params: ModelParams) -> float:
     """log P(X | Z, Y) summed over all N x T entries.
 
-    Raises ValueError on inconsistent shapes.  Empty products (T = 0 or
-    N = 0) give 0.0.
+    Raises ValueError on entries outside {0, 1} and on inconsistent
+    shapes.  Empty products (T = 0 or N = 0) give 0.0.
     """
-    X = np.asarray(X)
-    Z = np.asarray(Z)
-    Y = np.asarray(Y)
+    X = as_binary_matrix(X, "X")
+    Z = as_binary_matrix(Z, "Z")
+    Y = as_binary_matrix(Y, "Y")
     n, t = X.shape
     if Z.shape[0] != n:
         raise ValueError(f"Z has {Z.shape[0]} rows, X has {n}")
@@ -218,8 +209,8 @@ def log_likelihood(X, Z, Y, params: ModelParams) -> float:
         raise ValueError(f"Y has {Y.shape[1]} trials, X has {t}")
     if Z.shape[1] != Y.shape[0]:
         raise ValueError(f"Z has {Z.shape[1]} columns, Y has {Y.shape[0]} rows")
-    counts = Z.astype(np.int32) @ Y.astype(np.int32)
-    return log_likelihood_at(likelihood_index(X, counts), params.lam, params.epsilon)
+    counts, k = Z.astype(np.int32) @ Y.astype(np.int32), Z.shape[1]
+    return log_likelihood_at(flat_index(X, counts, k), k, params.lam, params.epsilon)
 
 
 def log_prior_Y(Y, p: float) -> float:
@@ -283,8 +274,10 @@ def log_joint(X, Z, Y, params: ModelParams, prior: str = "ibp",
     prior="ibp" uses the unbounded-cause prior (Z must have no all-zero
     columns); prior="finite" uses the prior over Z's column count.
     log_lik, when given, is taken as ``log_likelihood(X, Z, Y, params)``,
-    as a sampler that holds counts = Z @ Y computes it from them.
+    as a sampler that holds counts = Z @ Y computes it from them.  Entries
+    outside {0, 1} raise ValueError.
     """
+    Y = as_binary_matrix(Y, "Y")  # the priors over Z check Z
     ll = log_likelihood(X, Z, Y, params) if log_lik is None else log_lik
     lp_y = log_prior_Y(Y, params.p)
     if prior == "ibp":

@@ -12,7 +12,7 @@ from .gibbs import gibbs_sweep
 from .harness import PosteriorSummary, SummaryAccumulator
 from .hypers import MH_STEP, mh_step_rate, sample_alpha, sample_p
 from .ibp import harmonic_number
-from .model import (ModelParams, SamplerState, as_binary_matrix, likelihood_index, log_joint,
+from .model import (ModelParams, SamplerState, as_binary_matrix, flat_index, log_joint,
                     log_likelihood_at)
 from .rjmcmc import FiniteState, ShiftedPoissonK, rjmcmc_sweep
 
@@ -116,34 +116,38 @@ def default_k_prior(alpha: float, n_rows: int) -> ShiftedPoissonK:
     return ShiftedPoissonK(mean=alpha * harmonic_number(n_rows))
 
 
-def _trace_record(iteration, state, X, wall_ms=None, log_lik=None) -> TraceRecord:
+def _likelihood(state: SamplerState, X) -> tuple[np.ndarray, float]:
+    """``flat_index(X, state.counts, state.k)``, the index a sweep keeps,
+    and the log-likelihood gathered at it under the state's (lam, epsilon)."""
+    index = flat_index(X, state.counts, state.k)
+    return index, log_likelihood_at(index, state.k, state.params.lam, state.params.epsilon)
+
+
+def _trace_record(iteration, state, X, log_lik: float, wall_ms=None) -> TraceRecord:
     """The record of the state as it stands; log_lik is its log-likelihood
-    when the caller holds it, else it is read from ``state.counts``."""
+    (``_likelihood``'s, or the value ``step`` returns)."""
     prior = "finite" if isinstance(state, FiniteState) else "ibp"
-    params = state.params
-    if log_lik is None:
-        log_lik = log_likelihood_at(likelihood_index(X, state.counts), params.lam, params.epsilon)
-    lj = log_joint(X, state.Z, state.Y, params, prior=prior, log_lik=log_lik)
-    return TraceRecord(iteration=iteration, kplus=state.kplus, k=state.k, params=params,
+    lj = log_joint(X, state.Z, state.Y, state.params, prior=prior, log_lik=log_lik)
+    return TraceRecord(iteration=iteration, kplus=state.kplus, k=state.k, params=state.params,
                        log_joint=lj, wall_ms=wall_ms)
 
 
 def step(
     state: SamplerState, X, rng: np.random.Generator, infer_hypers: bool = False,
     mh_step: float = MH_STEP,
-) -> tuple[bool, bool, float | None]:
+) -> tuple[bool, bool, float]:
     """One iteration: an ``rjmcmc_sweep`` for a finite state, else a
     ``gibbs_sweep``, then inferred hyperparameters in the order lam,
     epsilon, p, alpha (the unbounded model's alpha only).  Returns whether
-    the lam and epsilon Metropolis moves were accepted, and the
-    log-likelihood of the final state that the epsilon move hands on
-    (None without inferred hyperparameters); p and alpha do not enter it."""
+    the lam and epsilon Metropolis moves were accepted, and the final
+    state's log-likelihood: ``_likelihood``'s after the sweep, as the
+    epsilon move hands it on; p and alpha do not enter it."""
     finite = isinstance(state, FiniteState)
     (rjmcmc_sweep if finite else gibbs_sweep)(state, X, rng)
+    index, ll = _likelihood(state, X)  # neither rate step moves the counts
     if not infer_hypers:
-        return False, False, None
-    index = likelihood_index(X, state.counts)  # neither rate step moves the counts
-    _, lam_accepted, ll = mh_step_rate("lam", state, X, rng, mh_step, None, index)
+        return False, False, ll
+    _, lam_accepted, ll = mh_step_rate("lam", state, X, rng, mh_step, ll, index)
     _, eps_accepted, ll = mh_step_rate("epsilon", state, X, rng, mh_step, ll, index)
     state.params = state.params.replace(p=sample_p(state.Y, rng))
     if not finite:
@@ -187,7 +191,7 @@ def run_chain(
     snapshot_at = set(int(s) for s in snapshot_iterations)
     lam_hits = eps_hits = 0
     start = time.perf_counter()
-    trace = [_trace_record(0, state, X)]
+    trace = [_trace_record(0, state, X, _likelihood(state, X)[1])]
     for it in range(1, iterations + 1):
         tick = time.perf_counter()
         lam_accepted, eps_accepted, ll = step(state, X, rng, infer_hypers, mh_step)
@@ -196,7 +200,7 @@ def run_chain(
         if it > burn_in:
             acc.add(state)
         wall = (time.perf_counter() - tick) * 1e3 if timing else None
-        trace.append(_trace_record(it, state, X, wall_ms=wall, log_lik=ll))
+        trace.append(_trace_record(it, state, X, ll, wall_ms=wall))
         if it in snapshot_at and acc.count:
             snapshots[it] = acc.summary()
     if acc.count == 0:

@@ -68,6 +68,12 @@ class TestParamsJson:
         with pytest.raises(ValueError, match="lambda"):
             read_params_json(path)
 
+    def test_infinite_alpha_refused(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text('{"epsilon": 0.1, "lambda": 0.9, "p": 0.2, "alpha": Infinity}')
+        with pytest.raises(ValueError, match="alpha"):
+            read_params_json(path)
+
 
 class TestDatasetBundle:
     def _bundle(self):

@@ -59,6 +59,7 @@ class TestModelParams:
             {"p": 1.01},
             {"alpha": 0.0},
             {"alpha": -1.0},
+            {"alpha": math.inf},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):
@@ -180,6 +181,17 @@ class TestLogLikelihood:
         X = np.zeros((2, 4), dtype=np.int8)
         with pytest.raises(ValueError):
             log_likelihood(X, np.zeros(z_shape, dtype=np.int8), np.zeros(y_shape, dtype=np.int8), PARAMS)
+
+    @pytest.mark.parametrize("score", [log_likelihood, log_joint])
+    @pytest.mark.parametrize("name, X, Z, Y", [
+        ("X", [[2, 0], [1, -1]], [[1], [1]], [[1, 0]]),
+        ("Z", [[1, 0], [0, 1]], [[3], [1]], [[1, 0]]),
+        ("Y", [[1, 0], [0, 1]], [[1], [1]], [[2, 0]]),
+    ])
+    def test_non_binary_entries_raise(self, score, name, X, Z, Y):
+        """An entry outside {0, 1} would read a wrong table entry; it is refused."""
+        with pytest.raises(ValueError, match=f"{name} entries must be 0 or 1"):
+            score(X, Z, Y, PARAMS)
 
 
 class TestLogPriorY:

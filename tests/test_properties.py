@@ -46,7 +46,7 @@ from hiddencauses.gibbs import (
 from hiddencauses.model import (
     draw_tables,
     flat_index,
-    likelihood_index,
+    log_likelihood,
     log_likelihood_at,
     log_pmf_noisy_or,
     log_pmf_table,
@@ -78,8 +78,21 @@ class TestLogPmfTable:
         want = log_pmf_noisy_or(x, c, lam, epsilon)
         assert not np.isnan(got).any()
         np.testing.assert_array_equal(got, want)
-        total = log_likelihood_at(likelihood_index(x.astype(np.float64), c), lam, epsilon)
+        total = log_likelihood_at(flat_index(x, c, c_max), c_max, lam, epsilon)
         assert total == float(want.sum())
+
+    # epsilon at 1 too, a value ModelParams refuses but the table takes
+    @given(lam=lams, epsilon=lams, caps=st.tuples(st.integers(0, 200), st.integers(0, 200)))
+    @example(lam=0.0, epsilon=1.0, caps=(200, 0))
+    @example(lam=1.0, epsilon=0.0, caps=(200, 1))
+    @example(lam=1.0, epsilon=1.0, caps=(7, 3))
+    def test_a_smaller_cap_is_a_prefix(self, lam, epsilon, caps):
+        """The table at cap m is the first m + 1 columns of the table at any
+        cap K >= m, bit for bit, so one likelihood gathered at cap K by the
+        sweeps' index equals it gathered at the largest count."""
+        m, k = sorted(caps)
+        assert log_pmf_table(lam, epsilon, k)[:, :m + 1].tobytes() == \
+            log_pmf_table(lam, epsilon, m).tobytes()
 
     @given(lam=lams, epsilon=epsilons, pairs=pairs, extra=extras)
     def test_gather_equals_elementwise_with_extra(self, lam, epsilon, pairs, extra):
@@ -235,8 +248,9 @@ def _assert_gathers_match_elementwise(state, X):
             want.append(np.log(np.where(X[i] == 1, on, off)).sum())
         want = np.array(want) + log_rate - log_fact
         np.testing.assert_allclose(got, want, rtol=1e-12)
-    total = log_likelihood_at(likelihood_index(X, state.counts), lam, eps)
+    total = log_likelihood_at(flat_index(X, state.counts, state.k), state.k, lam, eps)
     assert total == float(log_pmf_noisy_or(X, state.counts, lam, eps).sum())
+    assert total == log_likelihood(X, state.Z, state.Y, params)
 
 
 PARAM_POOLS = st.lists(

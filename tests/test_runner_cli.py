@@ -12,6 +12,7 @@ from hiddencauses import (
     SamplerState,
     UniformK,
     file_digest,
+    log_likelihood,
     read_trace,
     run_chain,
     write_dataset_bundle,
@@ -206,12 +207,14 @@ class TestStep:
 
         rng = np.random.default_rng(4)
         state = initial_state(X_STEP, sampler, init, PARAMS, rng, **variants)
-        trace = [_trace_record(0, state, X_STEP)]
+        trace = [_trace_record(0, state, X_STEP,
+                               log_likelihood(X_STEP, state.Z, state.Y, state.params))]
         hits = [0, 0]
         for it in range(1, iterations + 1):
-            accepted = step(state, X_STEP, rng, infer_hypers=infer_hypers, mh_step=0.1)
+            *accepted, ll = step(state, X_STEP, rng, infer_hypers=infer_hypers, mh_step=0.1)
             hits = [h + a for h, a in zip(hits, accepted)]
-            trace.append(_trace_record(it, state, X_STEP))
+            assert ll == log_likelihood(X_STEP, state.Z, state.Y, state.params)
+            trace.append(_trace_record(it, state, X_STEP, ll))
 
         assert [r.to_dict() for r in result.trace] == [r.to_dict() for r in trace]
         np.testing.assert_array_equal(result.state.Z, state.Z)
@@ -219,6 +222,28 @@ class TestStep:
         assert result.state.params == state.params
         expected = {"lam": hits[0] / iterations, "epsilon": hits[1] / iterations}
         assert result.mh_acceptance == (expected if infer_hypers else {})
+
+    @pytest.mark.parametrize("infer_hypers", [False, True])
+    @pytest.mark.parametrize("make_state, covered", [
+        # two unlinked columns keep rjmcmc's K above its largest count
+        (lambda: FiniteState.from_matrices(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]], [[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]],
+            PARAMS, k_prior=UniformK(6)), lambda k, c: k > c),
+        # alpha near 0 leaves gibbs at K = 0 after its first sweep
+        (lambda: SamplerState.from_matrices(np.zeros((3, 0)), np.zeros((0, 3)),
+                                            PARAMS.replace(alpha=1e-6)), lambda k, c: k == 0),
+    ], ids=["rjmcmc-k-above-counts", "gibbs-k0"])
+    def test_returned_log_likelihood_is_the_final_states(self, make_state, covered, infer_hypers):
+        """The value step returns equals log_likelihood(X, Z, Y, params) of
+        the state it leaves, bit for bit, whether or not K is the largest count."""
+        state, X = make_state(), np.array([[1, 0, 1], [0, 0, 1], [0, 0, 0]], dtype=np.int8)
+        rng = np.random.default_rng(6)
+        for sweep in range(5):
+            *_, ll = step(state, X, rng, infer_hypers=infer_hypers, mh_step=0.1)
+            assert type(ll) is float
+            assert ll == log_likelihood(X, state.Z, state.Y, state.params)
+            if sweep == 0:  # the first value is read in the case the id names
+                assert covered(state.k, int(state.counts.max(initial=0)))
 
     def test_finite_state_takes_its_variants_from_run_chain(self):
         kwargs = dict(sampler="rjmcmc", iterations=20, params=PARAMS, seed=5, init="random10")
