@@ -21,6 +21,19 @@ activation row gathers its causes' rows of the index and scatters them
 back.  When the sweep ends, by return or by raise, it writes counts back
 from the index once.
 
+A row's (x, count) pairs move only during its own visit: earlier rows
+change other rows of Z, or append columns whose entry at this row is 0,
+and a rebase moves flat indices, not pairs.  So right after the index
+is built, a gibbs sweep scores every row at once against the k0 columns
+it starts with: the z log-odds (``z_log_odds_rows``) and the fresh-cause
+cdfs (``fresh_cause_cdfs``), each bit for bit what the per-row call
+would give at the row's turn.  Row i's first z scan reads its scores and
+adds those of the columns appended since (k >= k0) from the layout
+suffix; a flip rescans the columns after it per row, as before.  Row i's
+fresh-cause draw reads its cdf, unless a flip or a singleton removal of
+its own moved its pairs: then the same scorer runs on that row alone.
+rjmcmc's Y changes after every row, so its rows are scored per row.
+
 Every conditional draw is two-point: it adds the prior's log-odds to the
 entries of ``model.draw_tables(...).log_odds`` at the flat indices it
 touches, and a NaN sum, both states at zero mass, raises
@@ -38,6 +51,7 @@ keep.  The fresh-cause draw reads the bundle's ``fresh`` rows.
 """
 
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -45,7 +59,7 @@ import numpy as np
 from scipy.special import expit, gammaln, xlogy
 
 from .model import (FRESH_COUNTS, MAX_NEW_CAUSES, TABLE_CACHE_SIZE, DegenerateModelError,
-                    DrawTables, SamplerState, draw_tables, flat_index)
+                    DrawTables, SamplerState, check_binary, draw_tables, flat_index)
 
 
 # log k! for k = 0..MAX_NEW_CAUSES fresh causes, their Poisson prior's term free of alpha and N
@@ -62,7 +76,9 @@ def rebase(index: np.ndarray, X, dk: int) -> None:
 def sweep_index(state: SamplerState, X):
     """Yield ``flat_index(X, state.counts, state.k)``, which the sweep
     keeps current through every change of Z, Y and K in place of counts;
-    on exit, by return or by raise, write counts = index - X (K + 1)."""
+    on exit, by return or by raise, write counts = index - X (K + 1).
+    X entries outside {0, 1} raise ValueError before the state changes."""
+    check_binary(X)
     index = flat_index(X, state.counts, state.k)
     try:
         yield index
@@ -104,32 +120,53 @@ def z_log_odds(state: SamplerState, i: int, row_idx: np.ndarray, seg: np.ndarray
     return np.bincount(seg, weights=log_odds.take(idx), minlength=state.k)
 
 
+def z_log_odds_rows(state: SamplerState, index: np.ndarray, seg: np.ndarray,
+                    cat: np.ndarray) -> np.ndarray:
+    """[i, k]: ``z_log_odds`` of every row i of the sweep index at once, on
+    the layout (seg, cat) of all K causes.  Row i's terms come in its own
+    block, in the per-row order, and one ``np.bincount`` over bins
+    i K + k sums each block's causes as the per-row call does."""
+    n, k = index.shape[0], state.k
+    params = state.params
+    log_odds = draw_tables(params.lam, params.epsilon, params.p, k).log_odds
+    idx = index.take(cat, axis=1)
+    idx -= state.Z.take(seg, axis=1)
+    weights = log_odds.take(idx)
+    np.add(seg, np.arange(n)[:, None] * k, out=idx)  # idx now holds the bins
+    return np.bincount(idx.ravel(), weights=weights.ravel(), minlength=n * k).reshape(n, k)
+
+
 def draw_z_row(state: SamplerState, i: int, cols: np.ndarray, prior: np.ndarray,
-               row_idx: np.ndarray, layout: tuple, rng: np.random.Generator, entry) -> None:
+               row_idx: np.ndarray, layout: tuple, rng: np.random.Generator, entry,
+               log_odds: np.ndarray | None = None) -> bool:
     """Draw z[i, k] for each k in cols in order from ``rng.random(len(cols))``,
     the stream of one ``rng.random()`` per entry.  prior[j] is the prior's
     log-odds of entry cols[j], which no draw of row i moves; layout is
-    ``active_layout(state.Y)``.  Only the first entry whose draw changes
-    z[i, k] or whose logit is NaN goes through
-    entry(state, i, k, row_idx, active, u, logit), which flips it or
-    raises; the flip moves row_idx, so the columns after it are scanned
-    again."""
+    ``active_layout(state.Y)``; log_odds, when given, is
+    ``z_log_odds`` of row i over all K causes, which the first scan then
+    reads.  Only the first entry whose draw changes z[i, k] or whose logit
+    is NaN goes through entry(state, i, k, row_idx, active, u, logit),
+    which flips it or raises; the flip moves row_idx, so the columns after
+    it are scanned again.  Returns whether an entry flipped."""
     seg, cat, starts = layout
     u = rng.random(len(cols))
     old = state.Z[i].take(cols)
     j = 0
     while j < len(cols):
-        b = starts[cols[j]]
-        log_odds = z_log_odds(state, i, row_idx, seg[b:], cat[b:]).take(cols[j:])
+        if log_odds is None:
+            b = starts[cols[j]]
+            log_odds = z_log_odds(state, i, row_idx, seg[b:], cat[b:])
         with np.errstate(invalid="ignore"):  # +inf + -inf: both states at zero mass
-            logit = prior[j:] + log_odds
+            logit = prior[j:] + log_odds.take(cols[j:])
         event = ((u[j:] < expit(logit)) != old[j:]) | np.isnan(logit)
         first = int(event.argmax())
         if not event[first]:
-            return
+            break
         k = int(cols[j + first])
         entry(state, i, k, row_idx, cat[starts[k]:starts[k + 1]], u[j + first], logit[first])
         j += first + 1
+        log_odds = None
+    return j > 0
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -185,45 +222,60 @@ def _fresh_cause_log_rates(alpha: float, n: int) -> np.ndarray:
     return rates
 
 
-def _fresh_cause_log_weights(state: SamplerState, row_idx: np.ndarray) -> np.ndarray:
-    """Unnormalized log-probabilities of k = 0..MAX_NEW_CAUSES fresh causes
-    at row i, whose row of the sweep index is row_idx.
+def _fresh_cause_log_weights(state: SamplerState, index: np.ndarray) -> np.ndarray:
+    """[r, k]: unnormalized log-probabilities of k = 0..MAX_NEW_CAUSES fresh
+    causes at the row whose row of the sweep index is index[r].
 
-    The row's likelihood depends on its trials only through the histogram
-    of their (x, count) pairs, that is of row_idx, so it is one product of
-    that histogram with the fresh-cause table, summed bin by bin in
-    ascending flat index.  Only occupied bins enter the product: an empty
-    bin at a -inf entry would add 0 * -inf = NaN."""
+    A row's likelihood depends on its trials only through the histogram of
+    their (x, count) pairs, that is of its index row, so it is one product
+    of that histogram with the fresh-cause table, summed bin by bin in
+    ascending flat index.  An empty bin adds +0.0, not 0 * -inf = NaN, and
+    no partial sum is -0.0, so each row keeps the bits of a sum over its
+    occupied bins alone."""
     params = state.params
     fresh = draw_tables(params.lam, params.epsilon, params.p, state.k).fresh
-    hist = np.bincount(row_idx, minlength=fresh.shape[1])
-    seen = hist.nonzero()[0]
-    # one row per occupied bin: a sum over axis 0 adds the rows in order
-    loglik = (fresh.T[seen] * hist[seen, None]).sum(axis=0)
-    return loglik + _fresh_cause_log_rates(params.alpha, state.n_rows) - _FRESH_LOG_FACTORIALS
+    n, bins = index.shape[0], fresh.shape[1]
+    hist = np.bincount((index + np.arange(n)[:, None] * bins).ravel(), minlength=n * bins)
+    hist = hist.reshape(n, bins, 1)
+    # bins on axis 1, not last: the sum adds them in order, not pairwise
+    terms = np.zeros((n, bins, fresh.shape[0]))
+    np.multiply(hist, fresh.T, out=terms, where=hist > 0)
+    logw = terms.sum(axis=1)
+    logw += _fresh_cause_log_rates(params.alpha, state.n_rows)
+    logw -= _FRESH_LOG_FACTORIALS
+    return logw
+
+
+def fresh_cause_cdfs(state: SamplerState, index: np.ndarray) -> list:
+    """Per row of index, the running sums of exp(w - max w) over the
+    weights w of ``_fresh_cause_log_weights``, as floats; all 0.0 for a
+    row whose every weight is -inf."""
+    logw = _fresh_cause_log_weights(state, index)
+    top = logw.max(axis=1, keepdims=True)
+    top[top == -math.inf] = 0.0
+    logw -= top
+    return np.cumsum(np.exp(logw, out=logw), axis=1).tolist()
 
 
 def sample_new_causes(
     state: SamplerState, i: int, X, index: np.ndarray, rng: np.random.Generator,
+    cdf: list | None = None,
 ) -> int:
     """Draw how many fresh causes attach to row i and expand the state.
 
     Weights over k in 0..MAX_NEW_CAUSES combine a Poisson(alpha / N) prior with
     the likelihood of row i after summing out the new activations, read
-    from row i of the sweep index (see ``_fresh_cause_log_weights``).  Each
-    accepted cause appends a column with a single 1 at row i and a zero
-    activation row that is then Gibbs-resampled once; the index is rebased
-    to the new K first.
+    from row i of the sweep index: cdf is their ``fresh_cause_cdfs`` row,
+    scored here when not given.  Each accepted cause appends a column with
+    a single 1 at row i and a zero activation row that is then
+    Gibbs-resampled once; the index is rebased to the new K first.
     """
     n, t = state.n_rows, state.n_trials
-    logw = _fresh_cause_log_weights(state, index[i])
-    top = logw.max()
-    if top == -math.inf:
+    if cdf is None:
+        cdf = fresh_cause_cdfs(state, index[i:i + 1])[0]
+    if cdf[-1] == 0.0:
         raise DegenerateModelError("no feasible number of fresh causes for this row")
-    w = np.exp(logw - top)
-    cdf = np.cumsum(w)
-    k_new = int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
-    k_new = min(k_new, MAX_NEW_CAUSES)
+    k_new = min(bisect_right(cdf, rng.random() * cdf[-1]), MAX_NEW_CAUSES)
     if k_new:
         cols = np.zeros((n, k_new), dtype=np.int8)
         cols[i] = 1
@@ -316,21 +368,34 @@ def gibbs_sweep(state: SamplerState, X, rng: np.random.Generator) -> SamplerStat
     draw fresh causes; then resample all of Y and compact.
 
     Columns appended while processing earlier rows are visited by later
-    rows; compaction happens only at the end of the sweep.
+    rows; compaction happens only at the end of the sweep.  Every row is
+    scored once against the k0 columns the sweep starts with; see the
+    module docstring for when a row is scored again.
     """
     layout = active_layout(state.Y)
     with sweep_index(state, X) as index:
+        k0 = state.k
+        scores = z_log_odds_rows(state, index, *layout[:2])
+        cdfs = fresh_cause_cdfs(state, index)
         for i in range(state.n_rows):
             row_idx = index[i]
+            seg, cat, starts = layout
+            log_odds = scores[i]
+            if state.k > k0:  # columns appended by earlier rows
+                b = starts[k0]
+                appended = z_log_odds(state, i, row_idx, seg[b:], cat[b:])[k0:]
+                log_odds = np.concatenate((log_odds, appended))
             # no entry of row i moves m_minus: a flip moves z[i, k] and column_sums[k] together
             m_minus = state.column_sums - state.Z[i]
             shared = m_minus.nonzero()[0]
             prior = prior_log_odds(np.true_divide, state.n_rows).take(m_minus.take(shared))
-            draw_z_row(state, i, shared, prior, row_idx, layout, rng, gibbs_sample_z_entry)
-            _, cat, starts = layout
-            for k in (state.Z[i] > m_minus).nonzero()[0].tolist():  # singletons: m_minus = 0
+            moved = draw_z_row(state, i, shared, prior, row_idx, layout, rng,
+                               gibbs_sample_z_entry, log_odds)
+            singletons = (state.Z[i] > m_minus).nonzero()[0].tolist()  # m_minus = 0
+            for k in singletons:
                 _set_z(state, i, k, 0, row_idx, cat[starts[k]:starts[k + 1]])
-            if sample_new_causes(state, i, X, index, rng):
+            cdf = None if moved or singletons else cdfs[i]
+            if sample_new_causes(state, i, X, index, rng, cdf):
                 layout = active_layout(state.Y)
         resample_all_y(state, index, rng)
     return compact_state(state)

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .model import SamplerState, flat_index, log_likelihood_at
+from .model import SamplerState, check_binary, flat_index, log_likelihood_at
 from .ibp import harmonic_number
 
 RATE_NAMES = ("lam", "epsilon")
@@ -58,10 +58,12 @@ def mh_step_rate(
     parameters the state holds after the step.  ll_cur is that value before
     the step and index is ``flat_index(X, state.counts, state.k)``, each
     computed here when not given.  Proposals outside (0, 1) are rejected
-    without a likelihood or an acceptance draw.
+    without a likelihood or an acceptance draw.  X entries outside {0, 1}
+    raise ValueError before anything is drawn.
     """
     if name not in RATE_NAMES:
         raise ValueError(f"name must be one of {RATE_NAMES}, got {name!r}")
+    check_binary(X)
     params, k = state.params, state.k
     if index is None:
         index = flat_index(X, state.counts, k)

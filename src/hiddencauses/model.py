@@ -82,13 +82,26 @@ class ModelParams:
         return dataclasses.replace(self, **changes)
 
 
+def check_binary(values, name: str = "X") -> None:
+    """Raise ValueError unless every entry of values is 0 or 1.  An int8
+    array takes one max over its bytes, where -1 reads 255."""
+    arr = np.asarray(values)
+    if not arr.size:
+        return
+    if arr.dtype == np.int8:
+        binary = arr.view(np.uint8).max() <= 1
+    else:
+        binary = ((arr == 0) | (arr == 1)).all()
+    if not binary:
+        raise ValueError(f"{name} entries must be 0 or 1")
+
+
 def as_binary_matrix(values, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a 2-D int8 array with entries in {0, 1}."""
     arr = np.asarray(values)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.size and not ((arr == 0) | (arr == 1)).all():
-        raise ValueError(f"{name} entries must be 0 or 1")
+    check_binary(arr, name)
     return arr.astype(np.int8)
 
 

@@ -12,6 +12,7 @@ from helpers import (check_consistency, check_index, gibbs_sample_y_entry, refer
                      zy_index)
 from hiddencauses import (
     DegenerateModelError,
+    FiniteState,
     ModelParams,
     SamplerState,
     gibbs_sweep,
@@ -28,6 +29,7 @@ from hiddencauses.gibbs import (
     sweep_index,
 )
 from hiddencauses.model import draw_tables, log_pmf_noisy_or, log_pmf_table
+from hiddencauses.rjmcmc import finite_gibbs_sweep, rjmcmc_sweep
 
 PARAMS = ModelParams(epsilon=0.01, lam=0.9, p=0.1, alpha=1.0)
 
@@ -346,3 +348,29 @@ class TestGibbsSweep:
         with sweep_index(state, X) as index:
             resample_all_y(state, index, rng)
         check_consistency(state)
+
+
+# an int8 -1 reads 255 in the check's byte view; 2 is out of range in every dtype
+NON_BINARY_X = [np.array([[-1, 0]], dtype=np.int8), np.array([[2, 0]], dtype=np.int8),
+                np.array([[2, 0]], dtype=np.int64)]
+
+
+class TestNonBinaryX:
+    @pytest.mark.parametrize("X", NON_BINARY_X, ids=["int8-minus-1", "int8-2", "int64-2"])
+    @pytest.mark.parametrize("sweep", ["gibbs", "finite", "rjmcmc"])
+    def test_sweeps_refuse_before_any_change(self, sweep, X):
+        """Each sweep checks X once, in ``sweep_index``, before it changes
+        the state or draws a number."""
+        cls, run = {"gibbs": (SamplerState, gibbs_sweep),
+                    "finite": (FiniteState, finite_gibbs_sweep),
+                    "rjmcmc": (FiniteState, rjmcmc_sweep)}[sweep]
+        state = cls.from_matrices(np.array([[1]], dtype=np.int8),
+                                  np.array([[1, 0]], dtype=np.int8), PARAMS)
+        before = copy.deepcopy(state)
+        rng = np.random.default_rng(3)
+        stream = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(ValueError, match="0 or 1"):
+            run(state, X, rng)
+        for name in ("Z", "Y", "counts", "column_sums"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
+        assert rng.bit_generator.state == stream

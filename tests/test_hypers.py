@@ -194,3 +194,18 @@ class TestMhStepRate:
             hits += ok
             assert ll == log_likelihood(X, state.Z, state.Y, state.params)
         assert 0 < hits < 400
+
+    @pytest.mark.parametrize("X", [np.array([[-1, 0]], dtype=np.int8),
+                                   np.array([[2, 0]], dtype=np.int8)], ids=["minus-1", "2"])
+    @pytest.mark.parametrize("name", RATE_NAMES)
+    def test_refuses_non_binary_x(self, name, X):
+        """X entries outside {0, 1} raise before anything is drawn or set,
+        with or without a given index."""
+        params = ModelParams(epsilon=0.1, lam=0.5, p=0.3, alpha=1.0)
+        state = SamplerState.from_matrices(np.array([[1]], dtype=np.int8),
+                                           np.array([[1, 0]], dtype=np.int8), params)
+        rng = _ScriptedRng(0.01, 0.5)
+        for index in (None, np.zeros((1, 2), dtype=np.intp)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                mh_step_rate(name, state, X, rng, index=index)
+        assert state.params == params and rng.draws == 0

@@ -4,6 +4,8 @@ random move sequences, and the IBP prior under column permutation."""
 
 import contextlib
 import math
+import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -230,16 +232,12 @@ def _assert_gathers_match_elementwise(state, X):
     ks = np.arange(MAX_NEW_CAUSES + 1)
     log_rate, log_fact = xlogy(ks, params.alpha / n), gammaln(ks + 1.0)
     for i in range(n):
-        got = gibbs._fresh_cause_log_weights(state, zy_index(state, X)[i])
+        got = gibbs._fresh_cause_log_weights(state, zy_index(state, X)[i:i + 1])[0]
         np.testing.assert_array_equal(
             got, reference_fresh_cause_log_weights(state, i, X, MAX_NEW_CAUSES)
         )
         # the prior's terms, cached per (alpha, N), add as the uncached expression did
-        fresh = draw_tables(lam, eps, params.p, state.k).fresh
-        hist = np.bincount(zy_index(state, X)[i], minlength=fresh.shape[1])
-        seen = hist.nonzero()[0]
-        loglik = (fresh.T[seen] * hist[seen, None]).sum(axis=0)
-        assert got.tobytes() == (loglik + log_rate - log_fact).tobytes()
+        assert got.tobytes() == _row_log_weights(state, zy_index(state, X)[i]).tobytes()
         eta = (1.0 - lam) ** state.counts[i]
         want = []
         for k in ks:
@@ -366,16 +364,18 @@ def _reference_passes(X, entries):
     loop.  Both read and move counts, which they take from Z and Y; the
     rows of the sweep index they moved are then rebuilt from those counts.
     A z row draws each entry the sweep names through ``reference_z_entry``,
-    one ``rng.random()`` each, at its sampler's prior weight; entries gets
-    (i, k, old, new) per entry."""
+    one ``rng.random()`` each, at its sampler's prior weight, and returns
+    whether one flipped; entries gets (i, k, old, new) per entry."""
 
-    def row(state, i, cols, prior, row_idx, layout, rng, entry):
+    def row(state, i, cols, prior, row_idx, layout, rng, entry, log_odds=None):
         state.counts[...] = zy_counts(state)
+        start = len(entries)
         for k in cols.tolist():
             old = int(state.Z[i, k])
             entries.append((i, k, old, reference_z_entry(state, i, k, X, rng,
                                                          _theta_bar(state, i, k))))
         row_idx[:] = flat_index(X[i], state.counts[i], state.k)
+        return bool(_flips(entries[start:]))
 
     def y_pass(state, index, rng):
         state.counts[...] = zy_counts(state)
@@ -390,22 +390,26 @@ def _checked_passes(X, entries, flips):
     """Patches that assert, at every z row, that the sweep hands over its
     sampler's columns (the shared ones of a gibbs row, all of a finite
     one), the prior's log-odds at each, the active layout of the current
-    Y and the row's index built from Z and Y (``zy_index``); at every call
-    of an entry function, that the active trials handed over are cause k's
-    and the logit, bit for bit, the row's prior at k plus the reference
-    sum of ``reference_z_log_odds``, and after it and at the end of the
-    row, that the row's index equals one built from Z and Y; before and
-    after every fresh-cause draw, rjmcmc dimension move and activation
-    row, that the whole sweep index does (``check_index``), and that an
-    activation row gets its cause's rows and the state's tables.  entries
-    gets (i, k, old, new) per entry of every row that ends, flips the same
-    per entry call."""
+    Y and the row's index built from Z and Y (``zy_index``), and, from a
+    gibbs sweep alone, log-odds equal bit for bit to the per-row
+    ``z_log_odds`` and to ``reference_z_log_odds``; that the row returns
+    whether it flipped; at every call of an entry function, that the
+    active trials handed over are cause k's and the logit, bit for bit,
+    the row's prior at k plus the reference sum of
+    ``reference_z_log_odds``, and after it and at the end of the row, that
+    the row's index equals one built from Z and Y; before and after every
+    fresh-cause draw, rjmcmc dimension move and activation row, that the
+    whole sweep index does (``check_index``); that a fresh-cause draw
+    handed a cdf gets, bit for bit, the per-row cdf of its row
+    (``_row_cdf``); and that an activation row gets its cause's rows and
+    the state's tables.  entries gets (i, k, old, new) per entry of every
+    row that ends, flips the same per entry call."""
     real_row, real_fresh = gibbs.draw_z_row, gibbs.sample_new_causes
     real_y_row, real_move = gibbs.resample_y_row, rjmcmc._dimension_move
     real_gibbs, real_finite = gibbs.gibbs_sample_z_entry, rjmcmc.finite_conditional_z
     row_prior = {}  # column -> the prior's log-odds handed to the current row
 
-    def row(state, i, cols, prior, row_idx, layout, rng, entry):
+    def row(state, i, cols, prior, row_idx, layout, rng, entry, log_odds=None):
         finite = isinstance(state, FiniteState)
         m_minus = state.column_sums - state.Z[i]
         np.testing.assert_array_equal(cols, np.arange(state.k) if finite else m_minus.nonzero()[0])
@@ -414,12 +418,22 @@ def _checked_passes(X, entries, flips):
         for got, want in zip(layout, gibbs.active_layout(state.Y)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(row_idx, zy_index(state, X)[i])
+        assert (log_odds is None) == finite
+        if log_odds is not None:
+            seg, cat, _ = layout
+            per_row = gibbs.z_log_odds(state, i, row_idx, seg, cat)
+            assert _float_bytes(log_odds) == _float_bytes(per_row)
+            np.testing.assert_array_equal(
+                log_odds, [reference_z_log_odds(state, i, k, X) for k in range(state.k)])
         old = state.Z[i, cols].tolist()
         row_prior.clear()
         row_prior.update(zip(cols.tolist(), prior.tolist()))
-        real_row(state, i, cols, prior, row_idx, layout, rng, entry)
+        flipped = real_row(state, i, cols, prior, row_idx, layout, rng, entry, log_odds)
         np.testing.assert_array_equal(row_idx, zy_index(state, X)[i])
-        entries.extend(zip([i] * len(old), cols.tolist(), old, state.Z[i, cols].tolist()))
+        new = state.Z[i, cols].tolist()
+        assert flipped == (old != new)
+        entries.extend(zip([i] * len(old), cols.tolist(), old, new))
+        return flipped
 
     def checked(draw, state, i, k, row_idx, active, logit):
         np.testing.assert_array_equal(active, state.Y[k].nonzero()[0])
@@ -438,9 +452,12 @@ def _checked_passes(X, entries, flips):
         return checked(lambda: real_finite(state, i, k, row_idx, active, u, logit),
                        state, i, k, row_idx, active, logit)
 
-    def fresh(state, i, X, index, rng):
+    def fresh(state, i, X, index, rng, cdf=None):
         check_index(state, X, index)
-        k_new = real_fresh(state, i, X, index, rng)
+        if cdf is not None:
+            want = _row_cdf(state, index[i])
+            assert want is not None and np.array(cdf).tobytes() == want.tobytes()
+        k_new = real_fresh(state, i, X, index, rng, cdf)
         check_index(state, X, index)
         return k_new
 
@@ -464,6 +481,34 @@ def _checked_passes(X, entries, flips):
             mock.patch.object(gibbs, "sample_new_causes", fresh),
             mock.patch.object(gibbs, "resample_y_row", y_row),
             mock.patch.object(rjmcmc, "_dimension_move", move)]
+
+
+def _float_bytes(values):
+    """The bytes of values as float64: ``np.bincount`` over no pair returns
+    int64 zeros, which add as 0.0."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _row_log_weights(state, row_idx):
+    """The fresh-cause log-weights of one row as ``sample_new_causes`` once
+    built them from that row alone: its occupied histogram bins only,
+    summed in order, plus the Poisson prior's terms."""
+    params = state.params
+    fresh = draw_tables(params.lam, params.epsilon, params.p, state.k).fresh
+    hist = np.bincount(row_idx, minlength=fresh.shape[1])
+    seen = hist.nonzero()[0]
+    ks = np.arange(MAX_NEW_CAUSES + 1, dtype=np.float64)
+    return ((fresh.T[seen] * hist[seen, None]).sum(axis=0)
+            + xlogy(ks, params.alpha / state.n_rows) - gammaln(ks + 1.0))
+
+
+def _row_cdf(state, row_idx):
+    """The fresh-cause cdf of one row, or None where every weight is -inf,
+    as ``sample_new_causes`` once built it from that row alone:
+    exp(w - max w) over ``_row_log_weights`` and a running sum."""
+    logw = _row_log_weights(state, row_idx)
+    top = logw.max()
+    return None if top == -np.inf else np.cumsum(np.exp(logw - top))
 
 
 def _run(sweep, state, X, seed, patches, sweeps=1):
@@ -559,6 +604,124 @@ class TestRowKernel:
         want = [0.0] * start + [reference_z_log_odds(state, i, k, X)
                                 for k in range(start, state.k)]
         np.testing.assert_array_equal(got, want)
+
+
+# K0 = 0: the sweep starts with no column, so the z scores have no bin
+_NO_COLUMNS = (
+    np.zeros((3, 0), dtype=np.int8),
+    np.zeros((0, 4), dtype=np.int8),
+    np.array([[1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 1, 1]], dtype=np.int8),
+    ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=1.5),
+)
+
+
+class TestBatchedScores:
+    @given(case=matrices())
+    @example(case=_NO_COLUMNS)
+    @example(case=_KERNEL_EXAMPLE)
+    def test_rows_equal_per_row_scores(self, case):
+        """Bit for bit, at the drawn parameters and at every boundary
+        setting, each row of ``z_log_odds_rows`` is the per-row
+        ``z_log_odds`` (and equals ``reference_z_log_odds``), each row of
+        the batched fresh-cause weights is the weights of that row alone,
+        and each row of ``fresh_cause_cdfs`` is the cdf the per-row draw
+        built, all 0.0 where every weight is -inf.  No setting warns, K = 0
+        included."""
+        Z, Y, X, drawn = case
+        for eps, lam, p in [(drawn.epsilon, drawn.lam, drawn.p)] + BOUNDARY_PARAMS:
+            state = SamplerState.from_matrices(Z, Y, drawn.replace(epsilon=eps, lam=lam, p=p))
+            index = zy_index(state, X)
+            seg, cat, _ = gibbs.active_layout(state.Y)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                scores = gibbs.z_log_odds_rows(state, index, seg, cat)
+                logw = gibbs._fresh_cause_log_weights(state, index)
+                cdfs = gibbs.fresh_cause_cdfs(state, index)
+            assert scores.shape == (state.n_rows, state.k) and len(cdfs) == state.n_rows
+            for i in range(state.n_rows):
+                per_row = gibbs.z_log_odds(state, i, index[i], seg, cat)
+                assert _float_bytes(scores[i]) == _float_bytes(per_row)
+                np.testing.assert_array_equal(
+                    scores[i], [reference_z_log_odds(state, i, k, X) for k in range(state.k)])
+                alone = gibbs._fresh_cause_log_weights(state, index[i:i + 1])[0]
+                assert logw[i].tobytes() == alone.tobytes()
+                assert alone.tobytes() == _row_log_weights(state, index[i]).tobytes()
+                want = _row_cdf(state, index[i])
+                if want is None:
+                    assert cdfs[i] == [0.0] * (MAX_NEW_CAUSES + 1)
+                else:
+                    assert np.array(cdfs[i]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sweep_rows_read_their_scores(self, seed):
+        """Five gibbs sweeps on 8 x 30 data that start from no column
+        (K0 = 0): each row's first scan and each fresh-cause cdf it is
+        handed equal the per-row scores bit for bit (``_checked_passes``),
+        and the flips, state and stream equal those of per-entry rows.
+        Rows join columns appended earlier in their sweep, flip, zero
+        singletons and are rescored, and others read their batched cdf."""
+        rng = np.random.default_rng(40 + seed)
+        X = (rng.random((8, 30)) < 0.4).astype(np.int8)
+        params = ModelParams(epsilon=0.05, lam=0.8, p=0.3, alpha=3.0)
+        empty = (np.zeros((8, 0), dtype=np.int8), np.zeros((0, 30), dtype=np.int8))
+        state = SamplerState.from_matrices(*empty, params)
+        ref = SamplerState.from_matrices(*empty, params)
+        entries, flips, ref_entries, seen, k0 = [], [], [], Counter(), [0]
+        run_rng = np.random.default_rng(seed)
+        with contextlib.ExitStack() as stack:
+            for patch in _checked_passes(X, entries, flips):
+                stack.enter_context(patch)
+            checked_row, checked_fresh = gibbs.draw_z_row, gibbs.sample_new_causes
+
+            def row(state, i, cols, prior, row_idx, layout, rng, entry, log_odds=None):
+                seen["joins"] += bool((cols >= k0[0]).any())
+                seen["singleton"] += bool((state.Z[i] > state.column_sums - state.Z[i]).any())
+                flipped = checked_row(state, i, cols, prior, row_idx, layout, rng, entry,
+                                      log_odds)
+                seen["flip"] += flipped
+                return flipped
+
+            def fresh(state, i, X, index, rng, cdf=None):
+                seen["batched" if cdf is not None else "rescored"] += 1
+                return checked_fresh(state, i, X, index, rng, cdf)
+
+            stack.enter_context(mock.patch.object(gibbs, "draw_z_row", row))
+            stack.enter_context(mock.patch.object(gibbs, "sample_new_causes", fresh))
+            for _ in range(5):
+                k0[0] = state.k
+                gibbs.gibbs_sweep(state, X, run_rng)
+        want = _run(gibbs.gibbs_sweep, ref, X, seed, _reference_passes(X, ref_entries), sweeps=5)
+        assert run_rng.bit_generator.state == want
+        assert entries == ref_entries and flips == _flips(ref_entries)
+        _assert_same_state(state, ref)
+        assert all(seen[key] > 0 for key in ("joins", "singleton", "flip", "batched",
+                                               "rescored")), seen
+
+    def test_row_without_fresh_cause_mass_raises_at_its_turn(self):
+        """lam = 1, epsilon = 0, p = 0: x = 1 at count 0 has zero mass
+        whatever the number of fresh causes, so every weight of row 1 is
+        -inf from the sweep's start, and the batch warns of nothing.  Row 0
+        (x = 0 only) draws first; alpha = 1e-12 makes it add no cause, so
+        row 1 moves nothing and reads its batched cdf, all 0.0, and raises
+        at its own turn.  The counts the sweep leaves are Z @ Y."""
+        X = np.array([[0, 0], [1, 0]], dtype=np.int8)
+        params = ModelParams(epsilon=0.0, lam=1.0, p=0.0, alpha=1e-12)
+        state = SamplerState.from_matrices(np.zeros((2, 0), dtype=np.int8),
+                                           np.zeros((0, 2), dtype=np.int8), params)
+        real_fresh, calls = gibbs.sample_new_causes, []
+
+        def fresh(state, i, X, index, rng, cdf=None):
+            calls.append((i, cdf))
+            return real_fresh(state, i, X, index, rng, cdf)
+
+        with mock.patch.object(gibbs, "sample_new_causes", fresh), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateModelError):
+                gibbs.gibbs_sweep(state, X, np.random.default_rng(0))
+        assert [i for i, _ in calls] == [0, 1] and calls[0][1][-1] > 0.0
+        assert calls[1][1] == [0.0] * (MAX_NEW_CAUSES + 1)
+        assert state.k == 0
+        check_consistency(state)
 
 
 class TestPassesMatchReference:
@@ -852,7 +1015,7 @@ class TestFreshCauseBoundaries:
             extra = xlogy(ks, 1.0 - lam * p)
             for i in range(X.shape[0]):
                 state = SamplerState.from_matrices(Z, Y, params)
-                got = gibbs._fresh_cause_log_weights(state, zy_index(state, X)[i])
+                got = gibbs._fresh_cause_log_weights(state, zy_index(state, X)[i:i + 1])[0]
                 per_trial = log_pmf_noisy_or(
                     X[i][:, None], state.counts[i][:, None], lam, eps, extra
                 )
